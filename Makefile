@@ -33,9 +33,11 @@ race-ring:
 # Sharded-executive race lane: the per-geo-cell engines, the window
 # barrier, the cross-cell radio and the mega-swarm mission, all under
 # the race detector with worker counts > 1 so the windows genuinely
-# interleave. -count=2 for schedule diversity.
+# interleave. GOMAXPROCS=4 runs four cell workers at once even on a
+# 2-core host, and -count=10 gives the schedule diversity a race in
+# cell-owned state needs to show (a single pass misses some).
 race-sim:
-	$(GO) test -race -count=2 \
+	GOMAXPROCS=4 $(GO) test -race -count=10 \
 		-run 'Shard|Window|Swarm|Mega|Cell|Radio|Neighbor' \
 		./internal/sim/ ./internal/netsim/ ./internal/geo/ ./internal/scenario/
 

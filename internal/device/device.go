@@ -98,14 +98,18 @@ func RoverConfig() Config {
 	}
 }
 
-// Device is one swarm member.
+// Device is one swarm member. Its battery and energy integrator live in
+// the same allocation, so accounting a radio reception touches one
+// object.
 type Device struct {
 	eng *sim.Engine
 	ID  int
 	cfg Config
 
+	// Battery points at bat; the pointer is the public handle.
 	Battery *energy.Battery
-	integ   *energy.Integrator
+	bat     energy.Battery
+	integ   energy.Integrator
 
 	cpu     *sim.Resource
 	queued  int
@@ -125,8 +129,11 @@ type Device struct {
 // fails — battery depletion or injected fault.
 func New(eng *sim.Engine, id int, cfg Config, onFailed func(*Device)) *Device {
 	d := &Device{eng: eng, ID: id, cfg: cfg, onFailed: onFailed}
-	d.Battery = energy.NewBattery(cfg.Power, func() { d.Fail() })
-	d.integ = energy.NewIntegrator(d.Battery, eng.Now())
+	// The constructors inline, so copying their results into d
+	// allocates nothing beyond d itself.
+	d.bat = *energy.NewBattery(cfg.Power, func() { d.Fail() })
+	d.Battery = &d.bat
+	d.integ = *energy.NewIntegrator(&d.bat, eng.Now())
 	d.cpu = sim.NewResource(eng, 1)
 	d.lastBeat = eng.Now()
 	// Periodic integration so slow drains (hover, idle CPU) register and
@@ -248,13 +255,13 @@ func (d *Device) Dropped() int { return d.dropped }
 // Transmit accounts radio energy for sending megabytes to the cloud.
 func (d *Device) Transmit(mb float64) {
 	d.integ.Advance(d.eng.Now())
-	d.Battery.ConsumeTx(mb)
+	d.bat.ConsumeTx(mb)
 }
 
 // Receive accounts radio energy for receiving megabytes.
 func (d *Device) Receive(mb float64) {
 	d.integ.Advance(d.eng.Now())
-	d.Battery.ConsumeRx(mb)
+	d.bat.ConsumeRx(mb)
 }
 
 // FinishMission stops motion and settles the energy account.

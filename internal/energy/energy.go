@@ -16,15 +16,29 @@ package energy
 
 import "fmt"
 
-// Load identifies a power-consumption category.
-type Load string
+// Load identifies a power-consumption category. It is a small integer
+// so a battery's per-load account is an array index, not a map lookup:
+// the mega-swarm charges a battery several times per radio delivery.
+type Load uint8
 
 const (
-	LoadMotion  Load = "motion"  // rotors / wheels
-	LoadCompute Load = "compute" // on-board task execution
-	LoadRadio   Load = "radio"   // wireless TX/RX
-	LoadBase    Load = "base"    // sensors, camera, electronics
+	LoadMotion  Load = iota // rotors / wheels
+	LoadCompute             // on-board task execution
+	LoadRadio               // wireless TX/RX
+	LoadBase                // sensors, camera, electronics
+
+	numLoads
 )
+
+var loadNames = [numLoads]string{"motion", "compute", "radio", "base"}
+
+// String implements fmt.Stringer.
+func (l Load) String() string {
+	if l < numLoads {
+		return loadNames[l]
+	}
+	return fmt.Sprintf("Load(%d)", l)
+}
 
 // AllLoads lists the accounting categories.
 var AllLoads = []Load{LoadMotion, LoadCompute, LoadRadio, LoadBase}
@@ -99,7 +113,7 @@ func TinyBotProfile() PowerProfile {
 // load category.
 type Battery struct {
 	profile  PowerProfile
-	consumed map[Load]float64
+	consumed [numLoads]float64
 	total    float64
 	onEmpty  func()
 	empty    bool
@@ -108,7 +122,7 @@ type Battery struct {
 // NewBattery returns a full battery for the profile. onEmpty, if
 // non-nil, fires exactly once when consumption first reaches capacity.
 func NewBattery(p PowerProfile, onEmpty func()) *Battery {
-	return &Battery{profile: p, consumed: make(map[Load]float64), onEmpty: onEmpty}
+	return &Battery{profile: p, onEmpty: onEmpty}
 }
 
 // Profile returns the battery's power profile.
@@ -201,7 +215,7 @@ func (it *Integrator) Advance(now float64) {
 		return
 	}
 	it.lastTime = now
-	p := it.bat.profile
+	p := &it.bat.profile
 	switch {
 	case it.Moving:
 		it.bat.ConsumePower(LoadMotion, p.MoveW, dt)

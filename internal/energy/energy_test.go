@@ -164,3 +164,30 @@ func TestBatteryInvariantProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestLoadNamesAndBatteryString: Load is an integer enum, but its names
+// and the battery summary read exactly as they did when Load was the
+// name itself.
+func TestLoadNamesAndBatteryString(t *testing.T) {
+	want := []string{"motion", "compute", "radio", "base"}
+	if len(AllLoads) != len(want) {
+		t.Fatalf("%d loads, want %d", len(AllLoads), len(want))
+	}
+	for i, l := range AllLoads {
+		if l.String() != want[i] {
+			t.Errorf("AllLoads[%d].String() = %q, want %q", i, l.String(), want[i])
+		}
+	}
+
+	b := NewBattery(PowerProfile{CapacityJ: 1000, TxJPerMB: 1.5, RxJPerMB: 0.3}, nil)
+	b.Consume(LoadMotion, 123.4)
+	b.Consume(LoadCompute, 56.7)
+	b.ConsumeTx(10)
+	b.ConsumeRx(2.5)
+	b.ConsumePower(LoadBase, 4.8, 12.5)
+	b.Consume(LoadMotion, 0.6)
+	const summary = "battery 25.6% consumed (motion=124J compute=57J radio=16J base=60J)"
+	if got := b.String(); got != summary {
+		t.Fatalf("String() = %q, want %q", got, summary)
+	}
+}

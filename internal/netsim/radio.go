@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 
 	"hivemind/internal/geo"
 	"hivemind/internal/sim"
@@ -161,16 +160,25 @@ type Radio struct {
 	cellOf  []int
 	latency sim.Time
 
-	// nbrCells[d] lists the distinct cells d's neighbours occupy,
-	// ascending. Static, so each broadcast emits exactly the events it
-	// needs without scanning or allocating per-cell grouping state.
-	nbrCells [][]int32
+	// Each sender's receivers, grouped by destination cell: sender d's
+	// spans are spans[spanOff[d]:spanOff[d+1]], in ascending cell order,
+	// and each span's receivers rcv[lo:hi] are ascending ids owned by
+	// that cell. Static, so a broadcast emits one event per span and
+	// each event walks exactly its cell's receivers.
+	rcv     []int32
+	spans   []rcvSpan
+	spanOff []int32
 
 	// Counters are per-cell slices written only by the owning cell's
 	// events, so the hot path needs no atomics; Stats sums at read.
 	sent      []uint64
 	delivered []uint64
 	crossed   []uint64
+}
+
+// rcvSpan is one (sender, destination cell) group of receivers.
+type rcvSpan struct {
+	cell, lo, hi int32
 }
 
 // NewRadio wires a radio over the executive. latencyS is the medium's
@@ -191,30 +199,59 @@ func NewRadio(se *sim.ShardedEngine, ix *NeighborIndex, cellOf []int, latencyS f
 	}
 	r := &Radio{
 		se: se, ix: ix, cellOf: cellOf, latency: latencyS,
-		nbrCells:  make([][]int32, len(ix.nbr)),
 		sent:      make([]uint64, se.Cells()),
 		delivered: make([]uint64, se.Cells()),
 		crossed:   make([]uint64, se.Cells()),
 	}
-	for d, nbrs := range ix.nbr {
-		var cs []int32
-		for _, n := range nbrs {
-			c := int32(cellOf[n])
-			found := false
-			for _, have := range cs {
-				if have == c {
-					found = true
-					break
-				}
+	r.groupReceivers(se.Cells())
+	return r, nil
+}
+
+// groupReceivers builds the per-sender receiver spans in one pass over
+// the senders: a counting sort of each neighbour list by owning cell,
+// stable so ids stay ascending inside a cell. The scratch arrays are
+// reused across senders, so the build allocates only its outputs.
+func (r *Radio) groupReceivers(cells int) {
+	nbr := r.ix.nbr
+	total := 0
+	for _, l := range nbr {
+		total += len(l)
+	}
+	r.rcv = make([]int32, total)
+	r.spans = make([]rcvSpan, 0, len(nbr))
+	r.spanOff = make([]int32, len(nbr)+1)
+	count := make([]int32, cells) // the current sender's receivers per cell
+	next := make([]int32, cells)  // per-cell write cursor into rcv
+	var seen []int32              // the current sender's distinct cells
+	lo := int32(0)
+	for d, l := range nbr {
+		seen = seen[:0]
+		for _, n := range l {
+			c := r.cellOf[n]
+			if count[c] == 0 {
+				seen = append(seen, int32(c))
 			}
-			if !found {
-				cs = append(cs, c)
+			count[c]++
+		}
+		// Insertion sort: a sender's receivers occupy a handful of cells.
+		for i := 1; i < len(seen); i++ {
+			for j := i; j > 0 && seen[j] < seen[j-1]; j-- {
+				seen[j], seen[j-1] = seen[j-1], seen[j]
 			}
 		}
-		sort.Slice(cs, func(i, j int) bool { return cs[i] < cs[j] })
-		r.nbrCells[d] = cs
+		for _, c := range seen {
+			next[c] = lo
+			r.spans = append(r.spans, rcvSpan{cell: c, lo: lo, hi: lo + count[c]})
+			lo += count[c]
+			count[c] = 0
+		}
+		for _, n := range l {
+			c := r.cellOf[n]
+			r.rcv[next[c]] = n
+			next[c]++
+		}
+		r.spanOff[d+1] = int32(len(r.spans))
 	}
-	return r, nil
 }
 
 // LatencyS returns the one-way delivery latency.
@@ -232,26 +269,24 @@ func (r *Radio) Broadcast(src int, deliver func(dst int)) {
 	srcCell := r.cellOf[src]
 	c := r.se.Cell(srcCell)
 	at := c.Engine().Now() + r.latency
-	nbrs := r.ix.nbr[src]
 	r.sent[srcCell]++
-	for _, dc32 := range r.nbrCells[src] {
-		dc := int(dc32)
+	for _, sp := range r.spans[r.spanOff[src]:r.spanOff[src+1]] {
+		dc, rcv := int(sp.cell), r.rcv[sp.lo:sp.hi]
 		if dc == srcCell {
-			c.Engine().DeferAt(at, func() { r.deliverIn(dc, nbrs, deliver) })
+			c.Engine().DeferAt(at, func() { r.deliverIn(dc, rcv, deliver) })
 		} else {
 			r.crossed[srcCell]++
-			c.Send(dc, at, func() { r.deliverIn(dc, nbrs, deliver) })
+			c.Send(dc, at, func() { r.deliverIn(dc, rcv, deliver) })
 		}
 	}
 }
 
-// deliverIn runs the payload for every neighbour owned by cell dc.
-func (r *Radio) deliverIn(dc int, nbrs []int32, deliver func(dst int)) {
-	for _, n := range nbrs {
-		if r.cellOf[n] == dc {
-			r.delivered[dc]++
-			deliver(int(n))
-		}
+// deliverIn runs the payload for every receiver of one span, all owned
+// by cell dc.
+func (r *Radio) deliverIn(dc int, rcv []int32, deliver func(dst int)) {
+	r.delivered[dc] += uint64(len(rcv))
+	for _, n := range rcv {
+		deliver(int(n))
 	}
 }
 

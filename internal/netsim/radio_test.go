@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -144,16 +145,34 @@ func TestRadioBroadcastDelivers(t *testing.T) {
 	if len(want) == 0 {
 		t.Fatal("source has no neighbours; layout too sparse for the test")
 	}
-	got := map[int]int{}
-	var at []float64
+	// deliver runs on the receiver's cell worker, and cells run
+	// concurrently: each cell records into its own slot, merged after
+	// the run.
+	type record struct {
+		got map[int]int
+		at  []float64
+	}
+	perCell := make([]record, se.Cells())
+	for c := range perCell {
+		perCell[c].got = map[int]int{}
+	}
 	srcCell := se.Cell(cix.CellOf(src))
 	srcCell.Engine().DeferAt(1.0, func() {
 		radio.Broadcast(src, func(dst int) {
-			got[dst]++
-			at = append(at, se.Cell(cix.CellOf(dst)).Engine().Now())
+			c := cix.CellOf(dst)
+			perCell[c].got[dst]++
+			perCell[c].at = append(perCell[c].at, se.Cell(c).Engine().Now())
 		})
 	})
 	se.Run(2)
+	got := map[int]int{}
+	var at []float64
+	for _, rec := range perCell {
+		for dst, k := range rec.got {
+			got[dst] += k
+		}
+		at = append(at, rec.at...)
+	}
 	if len(got) != len(want) {
 		t.Fatalf("delivered to %d receivers, want %d", len(got), len(want))
 	}
@@ -170,6 +189,67 @@ func TestRadioBroadcastDelivers(t *testing.T) {
 	st := radio.Stats()
 	if st.Broadcasts != 1 || st.Deliveries != uint64(len(want)) {
 		t.Fatalf("stats %+v inconsistent with one broadcast to %d receivers", st, len(want))
+	}
+}
+
+// TestRadioReceiverSpans: each sender's precomputed receiver spans
+// partition its neighbour set by owning cell, in the order the medium
+// delivers — ascending cells, ascending ids inside a cell, no empty
+// span — and a broadcast storm counts exactly one delivery per
+// neighbour per broadcast.
+func TestRadioReceiverSpans(t *testing.T) {
+	se, radio, cix, _ := buildRadio(t, 2, 0.004)
+	multiCell := 0
+	for d := range radio.cellOf {
+		spans := radio.spans[radio.spanOff[d]:radio.spanOff[d+1]]
+		if len(spans) > 1 {
+			multiCell++
+		}
+		var all []int32
+		for i, sp := range spans {
+			if sp.hi <= sp.lo {
+				t.Fatalf("device %d: span %d is empty", d, i)
+			}
+			if i > 0 && sp.cell <= spans[i-1].cell {
+				t.Fatalf("device %d: span cells %d then %d, want ascending", d, spans[i-1].cell, sp.cell)
+			}
+			rcv := radio.rcv[sp.lo:sp.hi]
+			for j, n := range rcv {
+				if j > 0 && n <= rcv[j-1] {
+					t.Fatalf("device %d: span for cell %d not ascending: %v", d, sp.cell, rcv)
+				}
+				if cix.CellOf(int(n)) != int(sp.cell) {
+					t.Fatalf("device %d: receiver %d in span for cell %d is owned by cell %d",
+						d, n, sp.cell, cix.CellOf(int(n)))
+				}
+			}
+			all = append(all, rcv...)
+		}
+		slices.Sort(all)
+		if want := radio.Neighbors(d); !slices.Equal(all, want) {
+			t.Fatalf("device %d: spans hold %v, neighbours are %v", d, all, want)
+		}
+	}
+	if multiCell == 0 {
+		t.Fatal("no sender reaches more than one cell; layout does not exercise grouping")
+	}
+
+	var wantDeliveries uint64
+	for d := range radio.cellOf {
+		d := d
+		eng := se.Cell(cix.CellOf(d)).Engine()
+		for k := 0; k < 3; k++ {
+			wantDeliveries += uint64(len(radio.Neighbors(d)))
+			eng.DeferAt(float64(k)*0.1+float64(d%7)*0.001, func() {
+				radio.Broadcast(d, func(int) {})
+			})
+		}
+	}
+	se.Run(1)
+	st := radio.Stats()
+	if st.Broadcasts != 3*uint64(len(radio.cellOf)) || st.Deliveries != wantDeliveries {
+		t.Fatalf("stats %+v, want %d broadcasts and %d deliveries",
+			st, 3*len(radio.cellOf), wantDeliveries)
 	}
 }
 

@@ -2,9 +2,12 @@ package scenario
 
 import (
 	"errors"
+	"math"
 	"reflect"
+	"runtime"
 	"testing"
 
+	"hivemind/internal/netsim"
 	"hivemind/internal/sim"
 )
 
@@ -50,6 +53,76 @@ func TestSwarmParityAcrossShards(t *testing.T) {
 		}
 		if !reflect.DeepEqual(got, base) {
 			t.Fatalf("shards=%d diverged from shards=1:\n got: %+v\nwant: %+v", w, got, base)
+		}
+	}
+}
+
+// TestSwarmGoldenResult pins RunSwarm(swarmTestConfig()) to a recorded
+// result, so a change to the simulator's data layout or hot path
+// cannot move a single output bit unnoticed: counts compare exactly,
+// floats bit for bit.
+func TestSwarmGoldenResult(t *testing.T) {
+	got, err := RunSwarm(swarmTestConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	type counts struct {
+		Devices, Cells, Anchors, Failed int
+		Radio                           netsim.RadioStats
+		Windows, CrossMessages, Steps   uint64
+		Classes                         [3][3]any // name, count, failed
+	}
+	wantCounts := counts{
+		Devices: 300, Cells: 6, Anchors: 15, Failed: 21,
+		Radio:   netsim.RadioStats{Broadcasts: 1782, Deliveries: 55057, CrossEvents: 1795},
+		Windows: 1237, CrossMessages: 1795, Steps: 7727,
+		Classes: [3][3]any{{"drone", 21, 3}, {"rover", 108, 11}, {"tinybot", 171, 7}},
+	}
+	if len(got.Classes) != 3 {
+		t.Fatalf("%d classes, want 3", len(got.Classes))
+	}
+	gotCounts := counts{
+		Devices: got.Devices, Cells: got.Cells, Anchors: got.Anchors, Failed: got.Failed,
+		Radio: got.Radio, Windows: got.Windows, CrossMessages: got.CrossMessages, Steps: got.Steps,
+	}
+	for i, c := range got.Classes {
+		gotCounts.Classes[i] = [3]any{c.Name, c.Count, c.Failed}
+	}
+	if gotCounts != wantCounts {
+		t.Fatalf("counts diverged from the recorded result:\n got: %+v\nwant: %+v", gotCounts, wantCounts)
+	}
+
+	// Bit-exact floats are pinned on amd64 only: on other architectures
+	// Go may fuse a multiply and an add into one FMA instruction, which
+	// rounds once instead of twice and legitimately moves low bits.
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("float bits pinned on amd64 only, not %s", runtime.GOARCH)
+	}
+	floats := []struct {
+		name string
+		got  float64
+		want uint64
+	}{
+		{"CoveredFrac", got.CoveredFrac, 0x3fef40da740da741},
+		{"SpreadP50S", got.SpreadP50S, 0x40000db09b95f62f},
+		{"SpreadP99S", got.SpreadP99S, 0x4004dd68663faf73},
+		{"LocErrStartM", got.LocErrStartM, 0x40579e2fc4538aa6},
+		{"LocErrMeanM", got.LocErrMeanM, 0x40482bdba55405ee},
+		{"LocErrP95M", got.LocErrP95M, 0x405632a8b30f314a},
+		{"drone.CoveredFrac", got.Classes[0].CoveredFrac, 0x3fee79e79e79e79e},
+		{"drone.LocErrMeanM", got.Classes[0].LocErrMeanM, 0x4042a8cb50b3226c},
+		{"drone.BatteryMeanFrac", got.Classes[0].BatteryMeanFrac, 0x3f573a700e511e79},
+		{"rover.CoveredFrac", got.Classes[1].CoveredFrac, 0x3fee84bda12f684c},
+		{"rover.LocErrMeanM", got.Classes[1].LocErrMeanM, 0x40452d1ed8d1f267},
+		{"rover.BatteryMeanFrac", got.Classes[1].BatteryMeanFrac, 0x3f3594a24d1c015f},
+		{"tinybot.CoveredFrac", got.Classes[2].CoveredFrac, 0x3fefd017f405fd01},
+		{"tinybot.LocErrMeanM", got.Classes[2].LocErrMeanM, 0x404a9bded22bb6bd},
+		{"tinybot.BatteryMeanFrac", got.Classes[2].BatteryMeanFrac, 0x3f777aba4eba3bb5},
+	}
+	for _, f := range floats {
+		if bits := math.Float64bits(f.got); bits != f.want {
+			t.Errorf("%s = %v (%#016x), want %v (%#016x)",
+				f.name, f.got, bits, math.Float64frombits(f.want), f.want)
 		}
 	}
 }
