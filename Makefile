@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race race-eval race-ring race-sim chaos crash-smoke live-smoke overload-smoke ingress-smoke bench bench-rpc bench-eval bench-gateway bench-store bench-sim bench-all sweep sweep-parity shard-parity examples fmt vet clean
+.PHONY: all build test race race-eval race-ring race-sim race-ctl chaos crash-smoke live-smoke overload-smoke ingress-smoke bench bench-rpc bench-eval bench-gateway bench-store bench-sim bench-all sweep sweep-parity shard-parity examples fmt vet clean
 
 all: build vet test
 
@@ -40,6 +40,16 @@ race-sim:
 	GOMAXPROCS=4 $(GO) test -race -count=10 \
 		-run 'Shard|Window|Swarm|Mega|Cell|Radio|Neighbor' \
 		./internal/sim/ ./internal/netsim/ ./internal/geo/ ./internal/scenario/
+
+# Controller-peer race lane: the election and lease loops calling their
+# peers through one-endpoint FailoverClients, and Close turning
+# terminal under concurrent calls (Replica.Kill races vote and lease
+# goroutines that are still calling). GOMAXPROCS=4 and -count=10 for
+# the schedule diversity such races need to show.
+race-ctl:
+	GOMAXPROCS=4 $(GO) test -race -count=10 \
+		-run 'Replica|Failover|StepDown' \
+		./internal/controller/ ./internal/rpc/
 
 # Fault-injection suite: every chaos test seeds its injectors and RNGs
 # (fixed seeds baked into the tests), so this run is deterministic.

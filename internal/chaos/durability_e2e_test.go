@@ -130,12 +130,17 @@ func startDurableCluster(t *testing.T, n int, seed int64, mon *controller.Monito
 
 // crashCluster kills every node abruptly — the store object is
 // abandoned WITHOUT Close, exactly as a process crash would leave it:
-// only what the WAL already wrote survives.
+// only what the WAL already wrote survives. Every runtime stops before
+// any replica dies, so no node outlives the crash instant: otherwise a
+// standby still running while its peers are torn down could win an
+// election and finish the interrupted work before it is killed too.
 func crashCluster(nodes []*failNode) {
+	for _, nd := range nodes {
+		nd.rt.Close()
+	}
 	for _, nd := range nodes {
 		nd.replica.Kill()
 		nd.gw.Close()
-		nd.rt.Close()
 	}
 }
 

@@ -1,5 +1,5 @@
-// End-to-end chaos suite: the hardened substrate (rpc retries +
-// breaker + heartbeat, gateway respawn, store degradation) is driven
+// End-to-end chaos suite: the hardened substrate (rpc re-attempts and
+// reconnects, gateway respawn, store degradation) is driven
 // through seeded fault injection on real TCP and in-process transports,
 // and its qualitative behaviour is cross-checked against the
 // internal/faas queueing model's §3.2 respawn-on-failure predictions.
@@ -9,10 +9,10 @@ package chaos_test
 
 import (
 	"context"
-	"errors"
 	"net"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -48,53 +48,53 @@ func echoServer(t *testing.T) *rpc.Server {
 
 // flakyDial wraps the first `bad` dialed connections with an injector
 // that deterministically kills them, then hands out clean connections.
-func flakyDial(dial func() (net.Conn, error), bad int, cfg chaos.Config) func() (net.Conn, error) {
-	var mu sync.Mutex
-	dials := 0
+// The returned counter reports how many connections it has dialled.
+func flakyDial(dial func() (net.Conn, error), bad int, cfg chaos.Config) (func() (net.Conn, error), *atomic.Int64) {
+	var dials atomic.Int64
 	return func() (net.Conn, error) {
 		c, err := dial()
 		if err != nil {
 			return nil, err
 		}
-		mu.Lock()
-		dials++
-		n := dials
-		mu.Unlock()
-		if n <= bad {
-			return chaos.NewInjector(int64(n), cfg).WrapConn(c), nil
+		n := dials.Add(1)
+		if n <= int64(bad) {
+			return chaos.NewInjector(n, cfg).WrapConn(c), nil
 		}
 		return c, nil
-	}
+	}, &dials
 }
 
-// fastRetry keeps backoff small so chaos tests stay quick while still
-// exercising the schedule.
-func fastRetry(max int) rpc.RetryPolicy {
-	return rpc.RetryPolicy{Max: max, Base: 5 * time.Millisecond, Cap: 40 * time.Millisecond, Multiplier: 2, Jitter: 0.2}
+// oneEndpoint is the single-server hardened client: one endpoint,
+// `attempts` tries per call, a short re-attempt pause so chaos tests
+// stay quick.
+func oneEndpoint(dial func() (net.Conn, error), attempts int, opts rpc.FailoverOptions) *rpc.FailoverClient {
+	opts.Attempts = attempts
+	opts.RetryBackoff = 5 * time.Millisecond
+	return rpc.NewFailoverClient([]func() (net.Conn, error){dial}, opts)
 }
 
-// Acceptance (a), TCP: the hardened client retries through connections
-// that drop every frame and completes within the caller's deadline.
+// Acceptance (a), TCP: the hardened client re-attempts through
+// connections that drop every frame and completes within the caller's
+// deadline.
 func TestChaosRetrySurvivesDroppedConnectionsTCP(t *testing.T) {
 	addr := serveTCP(t, echoServer(t))
-	opts := rpc.ReliableOptions{Callers: 4, Retry: fastRetry(4), Seed: 1}
-	rc := rpc.NewReliableClient(flakyDial(func() (net.Conn, error) {
+	dial, dials := flakyDial(func() (net.Conn, error) {
 		return net.Dial("tcp", addr)
-	}, 2, chaos.Config{DropProb: 1}), opts)
-	defer rc.Close()
-	rc.MarkIdempotent("echo")
+	}, 2, chaos.Config{DropProb: 1})
+	fc := oneEndpoint(dial, 5, rpc.FailoverOptions{Callers: 4})
+	defer fc.Close()
 
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	out, err := rc.Call(ctx, "echo", []byte("swarm"))
+	out, err := fc.Call(ctx, "echo", []byte("swarm"))
 	if err != nil {
 		t.Fatalf("call over dropping transport = %v", err)
 	}
 	if string(out) != "swarm" {
 		t.Fatalf("out = %q", out)
 	}
-	if st := rc.Stats(); st.Retries < 2 {
-		t.Fatalf("retries = %d, want >= 2 (two poisoned connections)", st.Retries)
+	if n := dials.Load(); n < 3 {
+		t.Fatalf("dials = %d, want >= 3 (two poisoned connections, then a clean one)", n)
 	}
 }
 
@@ -102,70 +102,65 @@ func TestChaosRetrySurvivesDroppedConnectionsTCP(t *testing.T) {
 // transports, so chaos tests do not depend on a TCP stack.
 func TestChaosRetrySurvivesDroppedConnectionsInProcess(t *testing.T) {
 	srv := echoServer(t)
-	dial := func() (net.Conn, error) {
+	dial, dials := flakyDial(func() (net.Conn, error) {
 		cc, sc := rpc.Pair()
 		srv.ServeConn(sc)
 		return cc, nil
-	}
-	opts := rpc.ReliableOptions{Callers: 4, Retry: fastRetry(4), Seed: 1}
-	rc := rpc.NewReliableClient(flakyDial(dial, 2, chaos.Config{DropProb: 1}), opts)
-	defer rc.Close()
-	rc.MarkIdempotent("echo")
+	}, 2, chaos.Config{DropProb: 1})
+	fc := oneEndpoint(dial, 5, rpc.FailoverOptions{Callers: 4})
+	defer fc.Close()
 
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	out, err := rc.Call(ctx, "echo", []byte("pipe"))
+	out, err := fc.Call(ctx, "echo", []byte("pipe"))
 	if err != nil || string(out) != "pipe" {
 		t.Fatalf("out=%q err=%v", out, err)
 	}
-	if st := rc.Stats(); st.Retries < 2 {
-		t.Fatalf("retries = %d, want >= 2", st.Retries)
+	if n := dials.Load(); n < 3 {
+		t.Fatalf("dials = %d, want >= 3", n)
 	}
 }
 
 // Acceptance (a), one-way partition: requests vanish into an outbound
-// blackhole; per-attempt timeouts convert the silence into retryable
-// failures, and once the partition heals a retry completes within the
-// caller's deadline.
+// blackhole; per-attempt timeouts convert the silence into failed
+// attempts, and once the partition heals a re-attempt completes within
+// the caller's deadline.
 func TestChaosRetrySurvivesOneWayPartition(t *testing.T) {
 	addr := serveTCP(t, echoServer(t))
 	inj := chaos.NewInjector(7, chaos.Config{})
 	inj.Partition(chaos.Outbound)
-	opts := rpc.ReliableOptions{
-		Callers:     4,
-		CallTimeout: 50 * time.Millisecond,
-		Retry:       fastRetry(6),
-		Seed:        1,
+	// Heal as soon as the first attempt has been swallowed and timed
+	// out: the observer sees every attempt's outcome.
+	var failed atomic.Int64
+	var healOnce sync.Once
+	obs := func(string, []byte) func(error) {
+		return func(err error) {
+			if err != nil {
+				failed.Add(1)
+				healOnce.Do(inj.Heal)
+			}
+		}
 	}
-	rc := rpc.NewReliableClient(func() (net.Conn, error) {
+	fc := oneEndpoint(func() (net.Conn, error) {
 		c, err := net.Dial("tcp", addr)
 		if err != nil {
 			return nil, err
 		}
 		return inj.WrapConn(c), nil
-	}, opts)
-	defer rc.Close()
-	rc.MarkIdempotent("echo")
-
-	// Heal as soon as the first attempt has been swallowed and retried.
-	go func() {
-		for rc.Stats().Retries == 0 {
-			time.Sleep(time.Millisecond)
-		}
-		inj.Heal()
-	}()
+	}, 7, rpc.FailoverOptions{Callers: 4, CallTimeout: 50 * time.Millisecond, Observer: obs})
+	defer fc.Close()
 
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	out, err := rc.Call(ctx, "echo", []byte("healed"))
+	out, err := fc.Call(ctx, "echo", []byte("healed"))
 	if err != nil {
 		t.Fatalf("call across healed partition = %v", err)
 	}
 	if string(out) != "healed" {
 		t.Fatalf("out = %q", out)
 	}
-	if rc.Stats().Retries == 0 {
-		t.Fatal("partition injected no retries")
+	if failed.Load() == 0 {
+		t.Fatal("partition swallowed no attempt")
 	}
 }
 
@@ -173,95 +168,20 @@ func TestChaosRetrySurvivesOneWayPartition(t *testing.T) {
 // the reader's framing detects it and the client recovers by redialing.
 func TestChaosTruncatedFrameRecovered(t *testing.T) {
 	addr := serveTCP(t, echoServer(t))
-	opts := rpc.ReliableOptions{Callers: 4, Retry: fastRetry(4), Seed: 1}
-	rc := rpc.NewReliableClient(flakyDial(func() (net.Conn, error) {
+	dial, dials := flakyDial(func() (net.Conn, error) {
 		return net.Dial("tcp", addr)
-	}, 1, chaos.Config{TruncateProb: 1}), opts)
-	defer rc.Close()
-	rc.MarkIdempotent("echo")
+	}, 1, chaos.Config{TruncateProb: 1})
+	fc := oneEndpoint(dial, 5, rpc.FailoverOptions{Callers: 4})
+	defer fc.Close()
 
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	out, err := rc.Call(ctx, "echo", []byte("frame"))
+	out, err := fc.Call(ctx, "echo", []byte("frame"))
 	if err != nil || string(out) != "frame" {
 		t.Fatalf("out=%q err=%v", out, err)
 	}
-	if rc.Stats().Retries == 0 {
-		t.Fatal("truncated frame did not force a retry")
-	}
-}
-
-// Acceptance (c): consecutive failures against a dead server open the
-// breaker (shedding further load instantly); once the server is back
-// and the cooldown passes, a half-open probe closes it again.
-func TestChaosBreakerOpensThenRecovers(t *testing.T) {
-	srv := rpc.NewServer()
-	srv.Register("echo", func(p []byte) ([]byte, error) { return p, nil })
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr := ln.Addr().String()
-	go srv.Serve(ln)
-
-	const cooldown = 100 * time.Millisecond
-	opts := rpc.ReliableOptions{
-		Callers: 4,
-		Retry:   rpc.RetryPolicy{Max: 0}, // isolate the breaker from retries
-		Breaker: rpc.BreakerConfig{Threshold: 3, Cooldown: cooldown},
-		Seed:    1,
-	}
-	rc := rpc.DialReliable(addr, opts)
-	defer rc.Close()
-	rc.MarkIdempotent("echo")
-
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	if _, err := rc.Call(ctx, "echo", []byte("up")); err != nil {
-		t.Fatalf("healthy call = %v", err)
-	}
-
-	// Kill the server: the live connection dies and redials fail.
-	ln.Close()
-	srv.Close()
-	for i := 0; i < 3; i++ {
-		if _, err := rc.Call(ctx, "echo", nil); err == nil {
-			t.Fatal("call succeeded against a dead server")
-		}
-	}
-	if got := rc.Breaker().State(); got != rpc.BreakerOpen {
-		t.Fatalf("state after %d failures = %v, want open", 3, got)
-	}
-	if _, err := rc.Call(ctx, "echo", nil); !errors.Is(err, rpc.ErrCircuitOpen) {
-		t.Fatalf("open breaker err = %v, want ErrCircuitOpen", err)
-	}
-	if rc.Stats().Rejected == 0 {
-		t.Fatal("open breaker shed nothing")
-	}
-
-	// Revive the server on the same address, wait out the cooldown, and
-	// let the half-open probe through.
-	srv2 := echoServer(t)
-	ln2, err := net.Listen("tcp", addr)
-	if err != nil {
-		t.Fatalf("relisten: %v", err)
-	}
-	defer ln2.Close()
-	go srv2.Serve(ln2)
-	time.Sleep(cooldown + 20*time.Millisecond)
-
-	out, err := rc.Call(ctx, "echo", []byte("probe"))
-	if err != nil {
-		t.Fatalf("half-open probe = %v", err)
-	}
-	if string(out) != "probe" {
-		t.Fatalf("out = %q", out)
-	}
-	if got := rc.Breaker().State(); got != rpc.BreakerClosed {
-		t.Fatalf("state after successful probe = %v, want closed", got)
-	}
-	if rc.Breaker().Opens() != 1 {
-		t.Fatalf("opens = %d, want 1", rc.Breaker().Opens())
+	if n := dials.Load(); n < 2 {
+		t.Fatalf("dials = %d: truncated frame did not force a redial", n)
 	}
 }
 
@@ -294,12 +214,12 @@ func TestChaosKilledFunctionMidChainRespawns(t *testing.T) {
 	defer g.Close()
 	addr := serveTCP(t, g.Server())
 
-	rc := rpc.DialReliable(addr, rpc.ReliableOptions{Callers: 4, Retry: fastRetry(2), Seed: 1})
-	defer rc.Close()
+	fc := rpc.DialFailover([]string{addr}, rpc.FailoverOptions{Callers: 4, Attempts: 3, RetryBackoff: 5 * time.Millisecond})
+	defer fc.Close()
 
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	out, err := rc.Call(ctx, "pipeline", []byte("x"))
+	out, err := fc.Call(ctx, "pipeline", []byte("x"))
 	if err != nil {
 		t.Fatalf("chain with killed step = %v", err)
 	}
@@ -331,28 +251,23 @@ func TestChaosTailLatencyCrossCheckedAgainstModel(t *testing.T) {
 		DelayMin:  time.Millisecond,
 		DelayMax:  4 * time.Millisecond,
 	})
-	opts := rpc.ReliableOptions{
-		Callers:     8,
-		CallTimeout: 500 * time.Millisecond,
-		Retry:       fastRetry(5),
-		Seed:        42,
-	}
-	rc := rpc.NewReliableClient(func() (net.Conn, error) {
+	var dials atomic.Int64
+	fc := oneEndpoint(func() (net.Conn, error) {
 		c, err := net.Dial("tcp", addr)
 		if err != nil {
 			return nil, err
 		}
+		dials.Add(1)
 		return inj.WrapConn(c), nil
-	}, opts)
-	defer rc.Close()
-	rc.MarkIdempotent("echo")
+	}, 6, rpc.FailoverOptions{Callers: 8, CallTimeout: 500 * time.Millisecond})
+	defer fc.Close()
 
 	const n = 60
 	latencies := make([]float64, 0, n)
 	for i := 0; i < n; i++ {
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		start := time.Now()
-		_, err := rc.Call(ctx, "echo", []byte{byte(i)})
+		_, err := fc.Call(ctx, "echo", []byte{byte(i)})
 		cancel()
 		if err != nil {
 			t.Fatalf("call %d failed under chaos: %v", i, err)
@@ -363,10 +278,10 @@ func TestChaosTailLatencyCrossCheckedAgainstModel(t *testing.T) {
 	p50 := latencies[n/2]
 	worst := latencies[n-1]
 	// Chaos must actually bite (drops and delays injected) and the
-	// client must actually recover (a retry mid-call or a reconnect
-	// after a between-call drop).
-	if st, is := rc.Stats(), inj.Stats(); st.Retries+st.Reconnects == 0 || is.Drops == 0 || is.Delays == 0 {
-		t.Fatalf("chaos was a no-op: client=%+v injector=%+v", st, is)
+	// client must actually recover (a redial after a dropped
+	// connection, mid-call or between calls).
+	if n, is := dials.Load(), inj.Stats(); n < 2 || is.Drops == 0 || is.Delays == 0 {
+		t.Fatalf("chaos was a no-op: dials=%d injector=%+v", n, is)
 	}
 	if worst < p50 {
 		t.Fatalf("tail %.4fs below median %.4fs", worst, p50)

@@ -2,7 +2,10 @@ package controller
 
 import (
 	"context"
+	"encoding/json"
+	"errors"
 	"net"
+	"sync"
 	"testing"
 	"time"
 
@@ -346,5 +349,86 @@ func TestReplicaFaultHookKillsPrimary(t *testing.T) {
 	}
 	if mon.Count(EventElection) < 2 {
 		t.Fatalf("elections = %d, want >= 2 (initial + takeover)", mon.Count(EventElection))
+	}
+}
+
+// TestReplicaPeerVoteSentOncePerElection pins the peer-client contract:
+// each election's vote request reaches a peer exactly once, counted on
+// the peer's side, whether the peer hangs past VoteTimeout (peer 1) or
+// severs the connection mid-call (peer 2). The client never re-sends,
+// because the election loop is the retry.
+func TestReplicaPeerVoteSentOncePerElection(t *testing.T) {
+	cfg := fastReplicaConfig(0, 3, 31)
+	var mu sync.Mutex
+	votes := map[int]map[uint64]int{} // peer id -> term -> requests seen
+	conns := map[int]net.Conn{}       // peer id -> the candidate's latest conn to it
+	peers := make(map[int]func() (net.Conn, error), 2)
+	for _, id := range []int{1, 2} {
+		id := id
+		votes[id] = map[uint64]int{}
+		srv := rpc.NewServer()
+		srv.RegisterCtx(MethodVote, func(ctx context.Context, payload []byte) ([]byte, error) {
+			var req voteReq
+			if err := json.Unmarshal(payload, &req); err != nil {
+				return nil, err
+			}
+			mu.Lock()
+			votes[id][req.Term]++
+			conn := conns[id]
+			mu.Unlock()
+			if id == 2 {
+				conn.Close() // the call fails on the candidate's side
+				return nil, errors.New("no vote")
+			}
+			select { // hang past the caller's VoteTimeout
+			case <-ctx.Done():
+			case <-time.After(3 * cfg.VoteTimeout):
+			}
+			return nil, errors.New("no vote")
+		})
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatalf("listen: %v", err)
+		}
+		go srv.Serve(ln)
+		t.Cleanup(srv.Close)
+		addr := ln.Addr().String()
+		peers[id] = func() (net.Conn, error) {
+			c, err := net.Dial("tcp", addr)
+			if err == nil {
+				mu.Lock()
+				conns[id] = c
+				mu.Unlock()
+			}
+			return c, err
+		}
+	}
+
+	r := NewReplica(cfg, peers, nil)
+	r.Start()
+	// The candidate can never reach a majority, so it keeps re-running
+	// elections; wait for a few of them.
+	deadline := time.Now().Add(5 * time.Second)
+	for r.Term() < 3 && time.Now().Before(deadline) {
+		time.Sleep(5 * time.Millisecond)
+	}
+	r.Kill()
+	// Let handlers of the last election record their request.
+	time.Sleep(2 * cfg.VoteTimeout)
+
+	if term := r.Term(); term < 3 {
+		t.Fatalf("term = %d after 5s, want >= 3 elections", term)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	for id, byTerm := range votes {
+		if len(byTerm) < 2 {
+			t.Fatalf("peer %d saw votes for %d terms, want >= 2", id, len(byTerm))
+		}
+		for term, n := range byTerm {
+			if n != 1 {
+				t.Fatalf("peer %d got the term-%d vote %d times, want exactly 1", id, term, n)
+			}
+		}
 	}
 }

@@ -78,10 +78,15 @@ type FailoverClient struct {
 	factories []func() (Transport, error)
 	opts      FailoverOptions
 
-	mu  sync.Mutex
-	cls []Transport
-	cur int
+	mu     sync.Mutex
+	cls    []Transport
+	cur    int
+	closed bool
 }
+
+// errReconnect marks a failed endpoint (re)build: the request was never
+// sent, so sweeping on is always safe.
+var errReconnect = errors.New("rpc: reconnect failed")
 
 // NewFailoverClient builds a client over one dial function per replica;
 // the slice index is the replica id redirects refer to. Each endpoint
@@ -158,6 +163,9 @@ func (f *FailoverClient) Leader() int {
 func (f *FailoverClient) clientFor(idx int) (Transport, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
+	if f.closed {
+		return nil, ErrClosed
+	}
 	if cl := f.cls[idx]; cl != nil && cl.Healthy() {
 		return cl, nil
 	}
@@ -209,6 +217,9 @@ func (f *FailoverClient) Call(ctx context.Context, method string, payload []byte
 		}
 		idx := f.Leader()
 		cl, err := f.clientFor(idx)
+		if errors.Is(err, ErrClosed) {
+			return nil, err
+		}
 		if err != nil {
 			lastErr = err
 			f.route(idx, -1)
@@ -217,25 +228,12 @@ func (f *FailoverClient) Call(ctx context.Context, method string, payload []byte
 			}
 			continue
 		}
-		actx := ctx
-		if f.opts.CallTimeout > 0 {
-			var cancel context.CancelFunc
-			actx, cancel = context.WithTimeout(ctx, f.opts.CallTimeout)
-			out, err := cl.Call(actx, method, payload)
-			cancel()
-			if err == nil {
-				f.opts.Budget.Success()
-				return out, nil
-			}
-			lastErr = err
-		} else {
-			out, err := cl.Call(actx, method, payload)
-			if err == nil {
-				f.opts.Budget.Success()
-				return out, nil
-			}
-			lastErr = err
+		out, err := f.attempt(ctx, cl, method, payload)
+		if err == nil {
+			f.opts.Budget.Success()
+			return out, nil
 		}
+		lastErr = err
 		if target, ok := RedirectTarget(lastErr); ok {
 			f.route(idx, target)
 			continue
@@ -267,10 +265,24 @@ func (f *FailoverClient) Call(ctx context.Context, method string, payload []byte
 	return nil, fmt.Errorf("rpc: no endpoint served %s after %d attempts: %w", method, f.opts.Attempts, lastErr)
 }
 
-// Close tears down every endpoint connection.
+// attempt runs one call on cl, bounded by CallTimeout when set. A
+// per-attempt timeout that fires while ctx still has time left is a
+// transport failure, so the caller sweeps on.
+func (f *FailoverClient) attempt(ctx context.Context, cl Transport, method string, payload []byte) ([]byte, error) {
+	if f.opts.CallTimeout <= 0 {
+		return cl.Call(ctx, method, payload)
+	}
+	actx, cancel := context.WithTimeout(ctx, f.opts.CallTimeout)
+	defer cancel()
+	return cl.Call(actx, method, payload)
+}
+
+// Close tears down every endpoint connection. It is terminal: later
+// calls fail with ErrClosed without dialling.
 func (f *FailoverClient) Close() {
 	f.mu.Lock()
 	defer f.mu.Unlock()
+	f.closed = true
 	for i, cl := range f.cls {
 		if cl != nil {
 			cl.Close()

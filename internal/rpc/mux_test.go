@@ -110,7 +110,7 @@ func TestMuxNoHeadOfLineBlocking(t *testing.T) {
 }
 
 // TestMuxPerStreamDeadline pins the deadline-propagation satellite: an
-// expired kindRequestDL on one stream is refused with the typed
+// expired request on one stream is refused with the typed
 // deadline error, while sibling streams on the same connection keep
 // working — no teardown, no stall.
 func TestMuxPerStreamDeadline(t *testing.T) {

@@ -138,92 +138,6 @@ func TestRetryBudgetConcurrent(t *testing.T) {
 	}
 }
 
-// --- breaker half-open probe exclusion -------------------------------
-
-// testClock is a goroutine-safe fake clock for breaker tests.
-type testClock struct{ ns atomic.Int64 }
-
-func (c *testClock) now() time.Time          { return time.Unix(0, c.ns.Load()) }
-func (c *testClock) advance(d time.Duration) { c.ns.Add(int64(d)) }
-
-// TestBreakerHalfOpenAdmitsExactlyOneProbe opens a breaker, crosses the
-// cooldown, and races many callers at the half-open state: exactly one
-// probe may pass per resolution, under -race.
-func TestBreakerHalfOpenAdmitsExactlyOneProbe(t *testing.T) {
-	clk := &testClock{}
-	b := NewBreaker(BreakerConfig{Threshold: 1, Cooldown: time.Second}, clk.now)
-	for round := 0; round < 20; round++ {
-		b.Record(false) // trip open
-		if b.State() != BreakerOpen {
-			t.Fatalf("round %d: state = %v, want open", round, b.State())
-		}
-		clk.advance(2 * time.Second)
-		var admitted atomic.Int64
-		var wg sync.WaitGroup
-		for g := 0; g < 8; g++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				if b.Allow() == nil {
-					admitted.Add(1)
-				}
-			}()
-		}
-		wg.Wait()
-		if n := admitted.Load(); n != 1 {
-			t.Fatalf("round %d: %d probes admitted in half-open, want exactly 1", round, n)
-		}
-		// Resolve the probe: success closes, then re-trip for the next
-		// round; alternate with Drop to cover the release path.
-		if round%2 == 0 {
-			b.Record(true)
-			if b.State() != BreakerClosed {
-				t.Fatalf("round %d: probe success left state %v", round, b.State())
-			}
-		} else {
-			b.Drop() // probe abandoned: slot must free without closing
-			var again atomic.Int64
-			var wg2 sync.WaitGroup
-			for g := 0; g < 8; g++ {
-				wg2.Add(1)
-				go func() {
-					defer wg2.Done()
-					if b.Allow() == nil {
-						again.Add(1)
-					}
-				}()
-			}
-			wg2.Wait()
-			if n := again.Load(); n != 1 {
-				t.Fatalf("round %d: dropped probe freed %d slots, want 1", round, n)
-			}
-			b.Record(true)
-		}
-	}
-}
-
-// TestBreakerHalfOpenFailureReopens checks a failed probe re-opens the
-// breaker and re-arms the cooldown.
-func TestBreakerHalfOpenFailureReopens(t *testing.T) {
-	clk := &testClock{}
-	b := NewBreaker(BreakerConfig{Threshold: 1, Cooldown: time.Second}, clk.now)
-	b.Record(false)
-	clk.advance(2 * time.Second)
-	if err := b.Allow(); err != nil {
-		t.Fatalf("half-open probe refused: %v", err)
-	}
-	b.Record(false) // probe failed
-	if b.State() != BreakerOpen {
-		t.Fatalf("state after failed probe = %v, want open", b.State())
-	}
-	if err := b.Allow(); !errors.Is(err, ErrCircuitOpen) {
-		t.Fatalf("re-opened breaker admitted a call: %v", err)
-	}
-	if b.Opens() != 2 {
-		t.Fatalf("opens = %d, want 2", b.Opens())
-	}
-}
-
 // --- wire deadline propagation ---------------------------------------
 
 // TestWireDeadlinePropagation checks a client ctx deadline crosses the
@@ -328,71 +242,59 @@ func TestServerDropsExpiredQueuedWork(t *testing.T) {
 	}
 }
 
-// --- reliable client integration -------------------------------------
+// --- failover client integration -------------------------------------
 
-// TestReliableClientShedIsNotAFailure checks a server-side shed neither
-// trips the breaker nor is retried, and lands in the Shed counter.
-func TestReliableClientShedIsNotAFailure(t *testing.T) {
+// TestFailoverClientShedIsSurfacedNotResent checks a server-side shed
+// reaches the caller as a shed and is never re-sent inside the call:
+// the server runs the handler exactly once per call.
+func TestFailoverClientShedIsSurfacedNotResent(t *testing.T) {
+	var invoked atomic.Int64
 	srv := NewServer()
 	srv.RegisterCtx("m", func(ctx context.Context, in []byte) ([]byte, error) {
+		invoked.Add(1)
 		return nil, ShedError(25 * time.Millisecond)
 	})
 	cc, sc := Pair()
 	srv.ServeConn(sc)
 	defer srv.Close()
-	rc := NewReliableClient(func() (net.Conn, error) { return cc, nil }, ReliableOptions{
-		Breaker:       BreakerConfig{Threshold: 1, Cooldown: time.Minute},
-		Retry:         RetryPolicy{Max: 3},
-		IdempotentAll: true,
-	})
-	defer rc.Close()
+	fc := NewFailoverClient([]func() (net.Conn, error){
+		func() (net.Conn, error) { return cc, nil },
+	}, FailoverOptions{Attempts: 4, RetryBackoff: time.Millisecond})
+	defer fc.Close()
 
-	for i := 0; i < 3; i++ {
-		_, err := rc.Call(context.Background(), "m", []byte("x"))
-		if !IsShed(err) {
-			t.Fatalf("call %d: err = %v, want shed", i, err)
-		}
+	_, err := fc.Call(context.Background(), "m", []byte("x"))
+	if !IsShed(err) {
+		t.Fatalf("err = %v, want shed", err)
 	}
-	st := rc.Stats()
-	if st.Shed != 3 {
-		t.Fatalf("Shed = %d, want 3", st.Shed)
+	if ra, ok := ShedRetryAfter(err); !ok || ra != 25*time.Millisecond {
+		t.Fatalf("retry-after = %v, %v; want the server's 25ms hint", ra, ok)
 	}
-	if st.Retries != 0 {
-		t.Fatalf("shed responses were retried %d times, want 0", st.Retries)
-	}
-	if st.Rejected != 0 {
-		t.Fatalf("breaker rejected %d calls after sheds: sheds counted as failures", st.Rejected)
-	}
-	if s := rc.Breaker().State(); s != BreakerClosed {
-		t.Fatalf("breaker state after sheds = %v, want closed", s)
+	if n := invoked.Load(); n != 1 {
+		t.Fatalf("shed request ran %d times, want 1 (never re-sent)", n)
 	}
 }
 
-// TestReliableClientBudgetDeniedRetry checks an empty shared budget
-// stops the retry loop with ErrRetryBudgetExhausted and counts it.
-func TestReliableClientBudgetDeniedRetry(t *testing.T) {
+// TestFailoverClientBudgetDeniedRetry checks an empty shared budget
+// stops the sweep with ErrRetryBudgetExhausted after exactly one dial.
+func TestFailoverClientBudgetDeniedRetry(t *testing.T) {
 	budget := NewRetryBudget(DefaultRetryBudgetRatio, 1)
 	if !budget.Withdraw() {
 		t.Fatal("could not drain the budget")
 	}
-	rc := NewReliableClient(func() (net.Conn, error) {
-		return nil, errors.New("refused")
-	}, ReliableOptions{
-		Retry:         RetryPolicy{Max: 5},
-		IdempotentAll: true,
-		Budget:        budget,
-	})
-	defer rc.Close()
+	var dials atomic.Int64
+	fc := NewFailoverClient([]func() (net.Conn, error){
+		func() (net.Conn, error) {
+			dials.Add(1)
+			return nil, errors.New("refused")
+		},
+	}, FailoverOptions{Attempts: 6, RetryBackoff: time.Millisecond, Budget: budget})
+	defer fc.Close()
 
-	_, err := rc.Call(context.Background(), "m", []byte("x"))
+	_, err := fc.Call(context.Background(), "m", []byte("x"))
 	if !errors.Is(err, ErrRetryBudgetExhausted) {
 		t.Fatalf("err = %v, want retry budget exhausted", err)
 	}
-	st := rc.Stats()
-	if st.BudgetDenied != 1 {
-		t.Fatalf("BudgetDenied = %d, want 1", st.BudgetDenied)
-	}
-	if st.Retries != 0 {
-		t.Fatalf("retried %d times against an empty budget", st.Retries)
+	if n := dials.Load(); n != 1 {
+		t.Fatalf("dials = %d against an empty budget, want exactly 1", n)
 	}
 }

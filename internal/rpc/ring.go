@@ -82,7 +82,7 @@ type ringReq struct {
 	method  string
 	payload []byte
 	ctx     context.Context
-	// deadlineNS mirrors the wire-propagated deadline of kindRequestDL:
+	// deadlineNS mirrors the wire-propagated deadline of a request frame:
 	// consumers drop the request unexecuted once it has passed.
 	deadlineNS int64
 

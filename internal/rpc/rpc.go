@@ -10,6 +10,9 @@
 //	uint32 frameLen | uint8 kind | uint64 callID | uint16 methodLen |
 //	method bytes    | payload bytes
 //
+// A request's payload bytes always start with its 8-byte absolute
+// deadline (UnixNano, 0: none); there is one request frame.
+//
 // Payloads are opaque []byte so the generated cross-task APIs can choose
 // their own encoding. Transports are anything that yields a net.Conn:
 // TCP between machines, net.Pipe in-process.
@@ -27,12 +30,12 @@
 // that make the live substrate survivable under the failure modes the
 // paper studies (§3.2, §4.6): cancel frames propagate client-side
 // context cancellation into running server handlers, and ping/pong
-// frames give clients a connection-health heartbeat. Both are serviced
+// frames give clients a connection-health probe. Both are serviced
 // out-of-band of the worker pool, directly from the read loop, so
-// heartbeats never queue behind slow handlers. On top of the
-// single-connection Client, ReliableClient (reliable.go) layers
-// deadlines, retries with backoff (retry.go), automatic reconnect, and
-// circuit breaking (breaker.go).
+// probes never queue behind slow handlers. The one hardening client,
+// FailoverClient (failover.go), layers per-attempt timeouts, bounded
+// re-attempts, reconnect and leader routing over any Transport; one
+// endpoint is the single-server case.
 package rpc
 
 import (
@@ -50,24 +53,22 @@ import (
 
 // Frame kinds.
 const (
+	// kindRequest is a request whose body starts with an 8-byte
+	// absolute deadline (UnixNano, 0: none) ahead of the payload:
+	// wire-level deadline propagation. Servers drop a request whose
+	// deadline has already passed *before* executing it (see
+	// dispatcher.run), so an overloaded fleet stops burning capacity on
+	// responses nobody is waiting for.
 	kindRequest  = 1
 	kindResponse = 2
 	kindError    = 3
 	// kindCancel tells the server to cancel the context of the handler
 	// running callID (sent when the client's ctx fires first).
 	kindCancel = 4
-	// kindPing/kindPong are the connection heartbeat: the server echoes
-	// a ping's payload back in a pong with the same call id.
+	// kindPing/kindPong are the connection health probe: the server
+	// echoes a ping's payload back in a pong with the same call id.
 	kindPing = 5
 	kindPong = 6
-	// kindRequestDL is a request whose body starts with an 8-byte
-	// absolute deadline (UnixNano) ahead of the payload: wire-level
-	// deadline propagation. Servers drop a request whose deadline has
-	// already passed *before* executing it (see dispatcher.run), so an
-	// overloaded fleet stops burning capacity on responses nobody is
-	// waiting for. Plain kindRequest frames remain valid (no deadline),
-	// so v1 clients interoperate unchanged.
-	kindRequestDL = 7
 )
 
 // maxFrame bounds a frame to 64 MiB: larger than any sensor batch the
@@ -77,7 +78,7 @@ const maxFrame = 64 << 20
 
 // Call ids carry the logical stream in their top 16 bits so one
 // connection can multiplex many streams without a wire-format change:
-// v1 peers simply echo the id back. Stream 0 is the connection's
+// servers simply echo the id back. Stream 0 is the connection's
 // default stream (plain Client calls); Client.Stream allocates the
 // rest.
 const (
@@ -339,7 +340,6 @@ func (s *Server) ServeConn(conn net.Conn) {
 			if err != nil {
 				return
 			}
-			var deadlineNS int64
 			switch f.kind {
 			case kindPing:
 				// Answered directly from the read loop, out-of-band of
@@ -354,15 +354,14 @@ func (s *Server) ServeConn(conn net.Conn) {
 				d.cancelCall(f.callID)
 				continue
 			case kindRequest:
-			case kindRequestDL:
-				if len(f.payload) < 8 {
-					continue // malformed deadline frame
-				}
-				deadlineNS = int64(binary.BigEndian.Uint64(f.payload[:8]))
-				f.payload = f.payload[8:]
 			default:
 				continue
 			}
+			if len(f.payload) < 8 {
+				continue // malformed request: no deadline prefix
+			}
+			deadlineNS := int64(binary.BigEndian.Uint64(f.payload[:8]))
+			f.payload = f.payload[8:]
 			s.mu.RLock()
 			h, ok := s.handlers[string(f.method)] // alloc-free []byte map key
 			icept := s.interceptor
@@ -672,13 +671,10 @@ func (c *Client) start(ctx context.Context, kind byte, call *Call, payload []byt
 	var buf *[]byte
 	var err error
 	dlNS := int64(0)
-	if kind == kindRequest {
-		if dl, hasDL := ctx.Deadline(); hasDL {
-			// Propagate the caller's absolute deadline on the wire so the
-			// server can drop the request unexecuted once it expires.
-			kind = kindRequestDL
-			dlNS = dl.UnixNano()
-		}
+	if dl, hasDL := ctx.Deadline(); hasDL && kind == kindRequest {
+		// Propagate the caller's absolute deadline on the wire so the
+		// server can drop the request unexecuted once it expires.
+		dlNS = dl.UnixNano()
 	}
 	// Stream 0 flushes inline: an idle writer writes on this goroutine
 	// with no handoff latency, and reports the write error
@@ -689,7 +685,7 @@ func (c *Client) start(ctx context.Context, kind byte, call *Call, payload []byt
 	// syscall per call (pipelined throughput is what streams exist
 	// for); failures surface through connection teardown.
 	inline := stream == 0
-	if (kind == kindRequest || kind == kindRequestDL) && len(payload) >= lendMin {
+	if kind == kindRequest && len(payload) >= lendMin {
 		// Zero-copy send: encode only the header into a pooled buffer
 		// and lend the caller's payload to the writer, which gathers
 		// the two into the socket with writev. The payload must stay
@@ -699,8 +695,8 @@ func (c *Client) start(ctx context.Context, kind byte, call *Call, payload []byt
 			err = c.w.enqueueVec(buf, payload, inline)
 		}
 	} else {
-		if kind == kindRequestDL {
-			buf, err = encodeFrameDL(id, call.Method, dlNS, payload)
+		if kind == kindRequest {
+			buf, err = encodeRequest(id, call.Method, dlNS, payload)
 		} else {
 			buf, err = encodeFrame(kind, id, call.Method, payload)
 		}

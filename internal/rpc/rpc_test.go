@@ -72,6 +72,37 @@ func TestFrameEmptyPayload(t *testing.T) {
 	}
 }
 
+// TestRequestFrameWithoutDeadlinePrefixDropped sends a request frame
+// whose body is shorter than the 8-byte deadline prefix: the server
+// drops it unanswered and the connection still serves the next call.
+func TestRequestFrameWithoutDeadlinePrefixDropped(t *testing.T) {
+	srv := echoServer()
+	defer srv.Close()
+	cc, sc := Pair()
+	defer cc.Close()
+	srv.ServeConn(sc)
+	cc.SetDeadline(time.Now().Add(5 * time.Second))
+
+	if err := writeFrame(cc, frame{kind: kindRequest, callID: 1, method: "echo", payload: []byte{1, 2, 3}}); err != nil {
+		t.Fatal(err)
+	}
+	buf, err := encodeRequest(2, "echo", 0, []byte("next"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cc.Write(*buf); err != nil {
+		t.Fatal(err)
+	}
+	putBuf(buf)
+	f, err := readFrame(cc)
+	if err != nil {
+		t.Fatalf("connection did not serve the call after the malformed frame: %v", err)
+	}
+	if f.kind != kindResponse || f.callID != 2 || string(f.payload) != "next" {
+		t.Fatalf("first reply = kind %d id %d payload %q; want the echo of call 2", f.kind, f.callID, f.payload)
+	}
+}
+
 func TestCallSyncEcho(t *testing.T) {
 	c := pipeClientServer(t, echoServer(), 4)
 	reply, err := c.CallSync("echo", []byte("hello swarm"))

@@ -252,7 +252,7 @@ func TestLentBuffersNeverPooled(t *testing.T) {
 		sink.mu.Lock()
 		n := sink.buf.Len()
 		sink.mu.Unlock()
-		if n >= frameHdrLen+1+len(lent) {
+		if n >= frameHdrLen+1+8+len(lent) {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -266,7 +266,10 @@ func TestLentBuffersNeverPooled(t *testing.T) {
 	if err != nil {
 		t.Fatalf("gathered frame corrupt: %v", err)
 	}
-	if !bytes.Equal(f.payload, lent) {
+	if len(f.payload) != 8+len(lent) || !bytes.Equal(f.payload[:8], make([]byte, 8)) {
+		t.Fatalf("request frame body = %d bytes, want the 8-byte zero deadline ahead of the lent payload", len(f.payload))
+	}
+	if !bytes.Equal(f.payload[8:], lent) {
 		t.Fatal("lent payload corrupted in gather write")
 	}
 

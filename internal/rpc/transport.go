@@ -15,9 +15,9 @@ import "context"
 //     stand-in);
 //   - *Client: a whole framed connection (stream 0).
 //
-// Hardened layers (ReliableClient, FailoverClient) wrap a Transport's
-// failure modes rather than implementing it: they add retries,
-// reconnects and routing on top.
+// The hardening layer, FailoverClient, wraps a Transport's failure
+// modes rather than implementing it: it adds re-attempts, reconnects
+// and leader routing on top of one transport factory per endpoint.
 type Transport interface {
 	// Call performs a blocking call bounded by ctx.
 	Call(ctx context.Context, method string, payload []byte) ([]byte, error)

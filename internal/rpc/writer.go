@@ -172,7 +172,7 @@ func encodeFrame(kind byte, callID uint64, method string, payload []byte) (*[]by
 }
 
 // encodeDL renders the 8-byte absolute-deadline body prefix of a
-// kindRequestDL frame.
+// request frame.
 func encodeDL(deadlineNS int64) [8]byte {
 	var dl [8]byte
 	dl[0] = byte(deadlineNS >> 56)
@@ -186,13 +186,14 @@ func encodeDL(deadlineNS int64) [8]byte {
 	return dl
 }
 
-// encodeFrameDL encodes a kindRequestDL frame: the absolute deadline
-// (UnixNano) rides as an 8-byte prefix of the frame body, ahead of the
-// payload, so deadline propagation costs no extra copy of the payload.
-func encodeFrameDL(callID uint64, method string, deadlineNS int64, payload []byte) (*[]byte, error) {
+// encodeRequest encodes a request frame: the absolute deadline
+// (UnixNano, 0: none) rides as an 8-byte prefix of the frame body,
+// ahead of the payload, so deadline propagation costs no extra copy of
+// the payload.
+func encodeRequest(callID uint64, method string, deadlineNS int64, payload []byte) (*[]byte, error) {
 	dl := encodeDL(deadlineNS)
 	buf := getBufFor(frameHdrLen + len(method) + 8 + len(payload))
-	b, err := appendFrame2((*buf)[:0], kindRequestDL, callID, method, dl[:], payload)
+	b, err := appendFrame2((*buf)[:0], kindRequest, callID, method, dl[:], payload)
 	if err != nil {
 		putBuf(buf)
 		return nil, err
@@ -203,12 +204,13 @@ func encodeFrameDL(callID uint64, method string, deadlineNS int64, payload []byt
 
 // encodeLent encodes the pooled header part of a frame whose payload
 // is lent: the returned buffer carries length prefix, kind, call id,
-// method and the optional deadline prefix, with the frame length
-// accounting for the payload that will ride as its own gather vector.
+// method and, for a request, the deadline prefix, with the frame
+// length accounting for the payload that will ride as its own gather
+// vector.
 func encodeLent(kind byte, callID uint64, method string, deadlineNS int64, payload []byte) (*[]byte, error) {
 	var prefix []byte
 	var dl [8]byte
-	if kind == kindRequestDL {
+	if kind == kindRequest {
 		dl = encodeDL(deadlineNS)
 		prefix = dl[:]
 	}
@@ -396,14 +398,15 @@ func (w *connWriter) drain(rounds int) {
 			onErr := w.onErr
 			w.onErr = nil // fire once
 			w.mu.Unlock()
-			// Tear the connection down so both read loops observe the
-			// failure instead of waiting on a half-dead peer, then hand
-			// the root cause to the owner so queued-but-unflushed frames
-			// fail their pending calls with the real write error.
-			w.conn.Close()
+			// Hand the root cause to the owner first, so queued-but-
+			// unflushed frames fail their pending calls with the real
+			// write error rather than the read loop's EOF, then tear the
+			// connection down so both read loops observe the failure
+			// instead of waiting on a half-dead peer.
 			if onErr != nil {
 				onErr(err)
 			}
+			w.conn.Close()
 			return
 		}
 	}

@@ -34,12 +34,33 @@ func leaderGateway(t *testing.T, id int, leader *atomic.Int32) *Gateway {
 	return g
 }
 
-// TestLinkedFailoverFlipsTransportOnLeaderChange is the acceptance test
-// for FailoverClient fast-path auto-selection: with the leader
+// linkedFailover builds a leader-following client whose endpoints are
+// built through l.Connect, recording the transport kind each endpoint
+// last selected (-1: none built yet).
+func linkedFailover(l *Linker, peers []Peer, opts rpc.FailoverOptions) (*rpc.FailoverClient, []atomic.Int32) {
+	kinds := make([]atomic.Int32, len(peers))
+	factories := make([]func() (rpc.Transport, error), len(peers))
+	for i, p := range peers {
+		i, p := i, p
+		kinds[i].Store(-1)
+		factories[i] = func() (rpc.Transport, error) {
+			lk, err := l.Connect(p)
+			if err != nil {
+				return nil, err
+			}
+			kinds[i].Store(int32(lk.Kind))
+			return lk, nil
+		}
+	}
+	return rpc.NewFailoverTransports(factories, opts), kinds
+}
+
+// TestFailoverOverLinkerFlipsTransportOnLeaderChange is the acceptance
+// test for FailoverClient fast-path auto-selection: with the leader
 // co-located the calls ride the shm ring; after a leader change to a
 // remote replica the same client follows the redirect onto a mux
 // stream, and the selected transport kinds prove it.
-func TestLinkedFailoverFlipsTransportOnLeaderChange(t *testing.T) {
+func TestFailoverOverLinkerFlipsTransportOnLeaderChange(t *testing.T) {
 	var leader atomic.Int32 // replica 0 leads first
 	local := leaderGateway(t, 0, &leader)
 	remote := leaderGateway(t, 1, &leader)
@@ -55,11 +76,12 @@ func TestLinkedFailoverFlipsTransportOnLeaderChange(t *testing.T) {
 
 	l := NewLinker(LinkerOptions{Callers: 8})
 	defer l.Close()
-	fc := NewLinkedFailover(l, []Peer{
+	fc, kinds := linkedFailover(l, []Peer{
 		{Gateway: local},
 		{Addr: ln.Addr().String()},
 	}, rpc.FailoverOptions{Attempts: 8, RetryBackoff: 5 * time.Millisecond})
 	defer fc.Close()
+	leaderKind := func() TransportKind { return TransportKind(kinds[fc.Leader()].Load()) }
 
 	out, err := fc.Call(context.Background(), "who", []byte("?"))
 	if err != nil {
@@ -68,8 +90,8 @@ func TestLinkedFailoverFlipsTransportOnLeaderChange(t *testing.T) {
 	if string(out) != "0?" {
 		t.Fatalf("leader 0 answered %q", out)
 	}
-	if k, ok := fc.LeaderKind(); !ok || k != TransportRing {
-		t.Fatalf("co-located leader rides %v (built=%v), want ring", k, ok)
+	if k := leaderKind(); k != TransportRing {
+		t.Fatalf("co-located leader rides %v, want ring", k)
 	}
 
 	// Leadership moves to the remote replica: the next call must follow
@@ -85,8 +107,8 @@ func TestLinkedFailoverFlipsTransportOnLeaderChange(t *testing.T) {
 	if fc.Leader() != 1 {
 		t.Fatalf("believed leader = %d, want 1", fc.Leader())
 	}
-	if k, ok := fc.LeaderKind(); !ok || k != TransportStream {
-		t.Fatalf("remote leader rides %v (built=%v), want stream", k, ok)
+	if k := leaderKind(); k != TransportStream {
+		t.Fatalf("remote leader rides %v, want stream", k)
 	}
 
 	// And back: leadership returns to the co-located replica, calls
@@ -95,7 +117,7 @@ func TestLinkedFailoverFlipsTransportOnLeaderChange(t *testing.T) {
 	if _, err := fc.Call(context.Background(), "who", []byte("?")); err != nil {
 		t.Fatal(err)
 	}
-	if k, ok := fc.LeaderKind(); !ok || k != TransportRing {
-		t.Fatalf("restored co-located leader rides %v (built=%v), want ring", k, ok)
+	if k := leaderKind(); k != TransportRing {
+		t.Fatalf("restored co-located leader rides %v, want ring", k)
 	}
 }

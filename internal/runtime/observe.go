@@ -2,7 +2,6 @@ package runtime
 
 import (
 	"context"
-	"encoding/binary"
 	"sync"
 	"time"
 
@@ -18,87 +17,7 @@ import (
 // management / data-IO / execution, Figs. 3a/6b/12), and the
 // client/server RPC interceptors that time each hop. Nothing here
 // touches the RPC wire format — the context rides inside the opaque
-// payload envelope.
-
-// taskMagicV2 prefixes envelopes that carry a trace context and a send
-// timestamp in addition to the task id:
-//
-//	"HMT2" | u16 idLen | id | u16 traceLen | traceID |
-//	u64 parentSpan | i64 sentAtUnixNano | payload
-//
-// Decoders accept both generations, so traced clients interoperate with
-// gateways and tools that only understand the v1 envelope's semantics.
-var taskMagicV2 = []byte("HMT2")
-
-// TaskEnvelope is the decoded header of an EncodeTask/EncodeTaskTraced
-// payload.
-type TaskEnvelope struct {
-	// ID is the client-chosen task id ("" in a v2 envelope that only
-	// carries tracing, though EncodeTaskTraced always sets one).
-	ID string
-	// Trace is the propagated trace context (zero for v1 envelopes).
-	Trace trace.SpanContext
-	// SentAtNS is the client's send timestamp (UnixNano; 0 for v1).
-	// The gateway derives the network stage from it, so it is only
-	// meaningful when client and gateway clocks agree — loopback and
-	// NTP-disciplined fleets, which is what the live substrate runs on.
-	SentAtNS int64
-}
-
-// EncodeTaskTraced wraps a chain payload with a task id, a trace
-// context, and the send timestamp. The gateway joins re-submitted ids
-// against its checkpoints exactly as with EncodeTask, and additionally
-// parents its spans under tc and charges the transfer delay to the
-// network stage.
-func EncodeTaskTraced(id string, tc trace.SpanContext, sentAt time.Time, payload []byte) []byte {
-	out := make([]byte, 0, len(taskMagicV2)+2+len(id)+2+len(tc.TraceID)+8+8+len(payload))
-	out = append(out, taskMagicV2...)
-	var l [2]byte
-	binary.BigEndian.PutUint16(l[:], uint16(len(id)))
-	out = append(out, l[:]...)
-	out = append(out, id...)
-	binary.BigEndian.PutUint16(l[:], uint16(len(tc.TraceID)))
-	out = append(out, l[:]...)
-	out = append(out, tc.TraceID...)
-	var q [8]byte
-	binary.BigEndian.PutUint64(q[:], tc.Parent)
-	out = append(out, q[:]...)
-	binary.BigEndian.PutUint64(q[:], uint64(sentAt.UnixNano()))
-	out = append(out, q[:]...)
-	return append(out, payload...)
-}
-
-// DecodeTaskEnvelope splits a task payload of either envelope
-// generation. ok is false for bare payloads, which are returned
-// unchanged with a zero envelope.
-func DecodeTaskEnvelope(raw []byte) (env TaskEnvelope, payload []byte, ok bool) {
-	n := len(taskMagicV2)
-	if len(raw) >= n+2 && string(raw[:n]) == string(taskMagicV2) {
-		rest := raw[n:]
-		idLen := int(binary.BigEndian.Uint16(rest[:2]))
-		rest = rest[2:]
-		if len(rest) < idLen+2 {
-			return TaskEnvelope{}, raw, false
-		}
-		env.ID = string(rest[:idLen])
-		rest = rest[idLen:]
-		traceLen := int(binary.BigEndian.Uint16(rest[:2]))
-		rest = rest[2:]
-		if len(rest) < traceLen+16 {
-			return TaskEnvelope{}, raw, false
-		}
-		env.Trace.TraceID = string(rest[:traceLen])
-		rest = rest[traceLen:]
-		env.Trace.Parent = binary.BigEndian.Uint64(rest[:8])
-		env.SentAtNS = int64(binary.BigEndian.Uint64(rest[8:16]))
-		return env, rest[16:], true
-	}
-	id, payload, ok := DecodeTask(raw)
-	if !ok {
-		return TaskEnvelope{}, raw, false
-	}
-	return TaskEnvelope{ID: id}, payload, true
-}
+// task envelope (envelope.go).
 
 // stageClock accumulates one task's per-stage time from the
 // instrumentation points it flows through (runtime execution, store
@@ -183,8 +102,7 @@ func (tt *taskTrace) span(name, category, track string) *trace.LiveSpan {
 // TraceCallObserver returns an rpc.CallObserver that times every
 // outbound request as a span on the "rpc" lane, linked to the trace id
 // found in the payload's task envelope (if any). Install it via
-// Client.SetObserver or the Observer fields of ReliableOptions /
-// FailoverOptions.
+// Client.SetObserver or FailoverOptions.Observer.
 func TraceCallObserver(l *trace.Live) rpc.CallObserver {
 	return func(method string, payload []byte) func(error) {
 		env, _, _ := DecodeTaskEnvelope(payload)

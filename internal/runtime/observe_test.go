@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"testing"
@@ -16,7 +17,7 @@ func TestTaskEnvelopeV2RoundTrip(t *testing.T) {
 	raw := EncodeTaskTraced("task-9", sc, sent, []byte("payload"))
 	env, body, ok := DecodeTaskEnvelope(raw)
 	if !ok {
-		t.Fatal("v2 envelope not recognised")
+		t.Fatal("traced envelope not recognised")
 	}
 	if env.ID != "task-9" || env.Trace != sc || env.SentAtNS != sent.UnixNano() {
 		t.Fatalf("envelope = %+v", env)
@@ -26,15 +27,42 @@ func TestTaskEnvelopeV2RoundTrip(t *testing.T) {
 	}
 }
 
-func TestTaskEnvelopeAcceptsV1(t *testing.T) {
-	raw := EncodeTask("legacy", []byte("data"))
+func TestEncodeTaskRoundTrip(t *testing.T) {
+	raw := EncodeTask("plain", []byte("data"))
 	env, body, ok := DecodeTaskEnvelope(raw)
-	if !ok || env.ID != "legacy" || string(body) != "data" {
-		t.Fatalf("v1 decode: ok=%v env=%+v body=%q", ok, env, body)
+	if !ok || env.ID != "plain" || string(body) != "data" {
+		t.Fatalf("decode: ok=%v env=%+v body=%q", ok, env, body)
 	}
 	if env.Trace.Valid() || env.SentAtNS != 0 {
-		t.Fatalf("v1 envelope grew trace state: %+v", env)
+		t.Fatalf("untraced envelope grew trace state: %+v", env)
 	}
+	if id, body, ok := DecodeTask(raw); !ok || id != "plain" || string(body) != "data" {
+		t.Fatalf("DecodeTask: ok=%v id=%q body=%q", ok, id, body)
+	}
+}
+
+// FuzzDecodeTaskEnvelope: the gateway decodes envelopes from network
+// input, so arbitrary bytes must never panic; a rejected payload comes
+// back unchanged, and an accepted one re-encodes byte-identically.
+func FuzzDecodeTaskEnvelope(f *testing.F) {
+	f.Add(EncodeTaskTraced("task-9", trace.SpanContext{TraceID: "task-9", Parent: 42}, time.Unix(1700000000, 123456789), []byte("payload")))
+	f.Add(EncodeTask("plain", []byte("data")))
+	f.Add(EncodeTaskTraced("id", trace.SpanContext{TraceID: "tr"}, time.Unix(0, 0), []byte("p")))
+	f.Add([]byte("just bytes"))
+	f.Add([]byte("HMT2\x00\x02id"))
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		env, body, ok := DecodeTaskEnvelope(raw)
+		if !ok {
+			if !bytes.Equal(body, raw) {
+				t.Fatalf("rejected payload changed: %q -> %q", raw, body)
+			}
+			return
+		}
+		again := EncodeTaskTraced(env.ID, env.Trace, time.Unix(0, env.SentAtNS), body)
+		if !bytes.Equal(again, raw) {
+			t.Fatalf("re-encode differs:\n in  %x\n out %x", raw, again)
+		}
+	})
 }
 
 func TestTaskEnvelopeBareAndTruncated(t *testing.T) {
@@ -46,7 +74,7 @@ func TestTaskEnvelopeBareAndTruncated(t *testing.T) {
 	// panicking and hand the raw bytes back untouched.
 	full := EncodeTaskTraced("id", trace.SpanContext{TraceID: "tr"}, time.Now(), []byte("p"))
 	headerLen := len(full) - 1 // last byte is payload
-	for cut := len(taskMagicV2) + 2; cut < headerLen; cut++ {
+	for cut := len(taskMagic) + 2; cut < headerLen; cut++ {
 		truncated := full[:cut]
 		env, got, ok := DecodeTaskEnvelope(truncated)
 		if ok {
