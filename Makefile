@@ -34,10 +34,11 @@ race-ring:
 # barrier, the cross-cell radio and the mega-swarm mission, all under
 # the race detector with worker counts > 1 so the windows genuinely
 # interleave. GOMAXPROCS=4 runs four cell workers at once even on a
-# 2-core host, and -count=10 gives the schedule diversity a race in
-# cell-owned state needs to show (a single pass misses some).
+# 2-core host, and -count=20 gives the schedule diversity a race in
+# cell-owned state or in the atomic window barrier needs to show (a
+# single pass misses some).
 race-sim:
-	GOMAXPROCS=4 $(GO) test -race -count=10 \
+	GOMAXPROCS=4 $(GO) test -race -count=20 \
 		-run 'Shard|Window|Swarm|Mega|Cell|Radio|Neighbor' \
 		./internal/sim/ ./internal/netsim/ ./internal/geo/ ./internal/scenario/
 

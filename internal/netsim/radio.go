@@ -12,7 +12,7 @@ import (
 // NeighborIndex precomputes, for a static device layout, which devices
 // each transmitter reaches: the neighbour sets a swarm broadcast
 // delivers to. Construction bins positions on a uniform grid sized by
-// the largest radio range, so building all n lists costs O(n · local
+// the smallest radio range, so building all n lists costs O(n · local
 // density) instead of the O(n²) all-pairs scan — and a Neighbors query
 // afterwards is a zero-allocation slice lookup. The same index serves
 // the single-engine path and every cell of a sharded run: range
@@ -35,32 +35,50 @@ func BuildNeighborIndex(pts []geo.Point, rangeM []float64) *NeighborIndex {
 	if len(pts) == 0 {
 		return ix
 	}
-	// Grid cell side = the largest range: any neighbour of d lies in
-	// d's bin or one of the 8 surrounding it... for d's own range; we
-	// size conservatively by the global maximum so one grid serves all
-	// classes.
+	// Grid cell side = the smallest positive range. A device of range r
+	// scans the int(r/side)+1 rings of bins around its own, which covers
+	// its whole disc at any side, so the lists do not depend on the
+	// choice; small bins just make the short-range majority scan less
+	// empty area. The side is floored at about extent/(2·sqrt(n)), so
+	// the grid never holds more than ~4n bins however small a range is.
 	minX, minY := math.Inf(1), math.Inf(1)
 	maxX, maxY := math.Inf(-1), math.Inf(-1)
-	side := 0.0
+	side := math.Inf(1)
 	for i, p := range pts {
 		minX, maxX = math.Min(minX, p.X), math.Max(maxX, p.X)
 		minY, maxY = math.Min(minY, p.Y), math.Max(maxY, p.Y)
-		side = math.Max(side, rangeM[i])
+		if r := rangeM[i]; r > 0 && r < side {
+			side = r
+		}
 	}
-	if side <= 0 {
+	if math.IsInf(side, 1) {
 		return ix // no device can reach anything
 	}
+	side = math.Max(side, math.Max(maxX-minX, maxY-minY)/(2*math.Sqrt(float64(len(pts)))))
 	cols := int((maxX-minX)/side) + 1
 	rows := int((maxY-minY)/side) + 1
 	binOf := func(p geo.Point) (int, int) {
 		return int((p.X - minX) / side), int((p.Y - minY) / side)
 	}
-	bins := make([][]int32, cols*rows)
+	// Counting sort into one flat array: bin b's members are
+	// members[binOff[b]:binOff[b+1]], ascending ids.
+	binOff := make([]int32, cols*rows+1)
+	binIdx := make([]int32, len(pts))
 	for i, p := range pts {
 		bx, by := binOf(p)
-		bi := by*cols + bx
-		bins[bi] = append(bins[bi], int32(i))
+		binIdx[i] = int32(by*cols + bx)
+		binOff[binIdx[i]+1]++
 	}
+	for b := 1; b < len(binOff); b++ {
+		binOff[b] += binOff[b-1]
+	}
+	members := make([]int32, len(pts))
+	fill := slices.Clone(binOff[:len(binOff)-1])
+	for i, b := range binIdx {
+		members[fill[b]] = int32(i)
+		fill[b]++
+	}
+	var buf []int32 // reused across devices; each list is copied out at its exact size
 	for d, p := range pts {
 		r := rangeM[d]
 		if r <= 0 {
@@ -69,29 +87,25 @@ func BuildNeighborIndex(pts []geo.Point, rangeM []float64) *NeighborIndex {
 		r2 := r * r
 		bx, by := binOf(p)
 		span := int(r/side) + 1
-		var out []int32
-		for y := by - span; y <= by+span; y++ {
-			if y < 0 || y >= rows {
-				continue
-			}
-			for x := bx - span; x <= bx+span; x++ {
-				if x < 0 || x >= cols {
+		buf = buf[:0]
+		for y := max(by-span, 0); y <= min(by+span, rows-1); y++ {
+			row := y * cols
+			lo, hi := binOff[row+max(bx-span, 0)], binOff[row+min(bx+span, cols-1)+1]
+			for _, e := range members[lo:hi] {
+				if int(e) == d {
 					continue
 				}
-				for _, e := range bins[y*cols+x] {
-					if int(e) == d {
-						continue
-					}
-					q := pts[e]
-					dx, dy := q.X-p.X, q.Y-p.Y
-					if dx*dx+dy*dy <= r2 {
-						out = append(out, e)
-					}
+				q := pts[e]
+				dx, dy := q.X-p.X, q.Y-p.Y
+				if dx*dx+dy*dy <= r2 {
+					buf = append(buf, e)
 				}
 			}
 		}
-		slices.Sort(out)
-		ix.nbr[d] = out
+		if len(buf) > 0 {
+			slices.Sort(buf)
+			ix.nbr[d] = slices.Clone(buf)
+		}
 	}
 	return ix
 }

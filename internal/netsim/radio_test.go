@@ -33,19 +33,37 @@ func randomLayout(n int, fieldM float64, seed int64) ([]geo.Point, []float64) {
 }
 
 // TestNeighborIndexMatchesNaive: the binned build must produce exactly
-// the sets the all-pairs scan produces, for mixed asymmetric ranges.
+// the sets the all-pairs scan produces, for mixed asymmetric ranges —
+// the default three-class mix, a mix with a zero-range device (which
+// must not set the grid side), and one with a sub-metre range (which
+// must not blow the grid up).
 func TestNeighborIndexMatchesNaive(t *testing.T) {
-	for _, n := range []int{1, 17, 400} {
-		pts, ranges := randomLayout(n, 300, int64(n))
-		ix := BuildNeighborIndex(pts, ranges)
-		naive := buildNeighborsNaive(pts, ranges)
-		for d := 0; d < n; d++ {
-			got, want := ix.Neighbors(d), naive[d]
-			if len(got) == 0 && len(want) == 0 {
-				continue
+	mixes := []struct {
+		name   string
+		ranges []float64 // cycled over the devices; nil keeps randomLayout's mix
+	}{
+		{"drone-rover-tiny", nil},
+		{"with-zero", []float64{60, 12, 0}},
+		{"with-tiny", []float64{35, 0.25, 0}},
+	}
+	for _, mix := range mixes {
+		for _, n := range []int{1, 17, 400} {
+			pts, ranges := randomLayout(n, 300, int64(n))
+			if mix.ranges != nil {
+				for i := range ranges {
+					ranges[i] = mix.ranges[i%len(mix.ranges)]
+				}
 			}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("n=%d device %d: indexed %v != naive %v", n, d, got, want)
+			ix := BuildNeighborIndex(pts, ranges)
+			naive := buildNeighborsNaive(pts, ranges)
+			for d := 0; d < n; d++ {
+				got, want := ix.Neighbors(d), naive[d]
+				if len(got) == 0 && len(want) == 0 {
+					continue
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s n=%d device %d: indexed %v != naive %v", mix.name, n, d, got, want)
+				}
 			}
 		}
 	}

@@ -252,12 +252,19 @@ func (s *swarmDev) solve(iters int) {
 
 // RunSwarm executes the mega-swarm mission on the sharded executive.
 func RunSwarm(cfg SwarmConfig) (SwarmResult, error) {
+	res, _, err := runSwarm(cfg)
+	return res, err
+}
+
+// runSwarm is RunSwarm that also hands back the executive, whose
+// wall-clock Timing benchmarks report and results must never carry.
+func runSwarm(cfg SwarmConfig) (SwarmResult, *sim.ShardedEngine, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Rumors > 64 {
-		return SwarmResult{}, fmt.Errorf("scenario: %d rumors exceed the 64-bit gossip mask", cfg.Rumors)
+		return SwarmResult{}, nil, fmt.Errorf("scenario: %d rumors exceed the 64-bit gossip mask", cfg.Rumors)
 	}
 	if cfg.LookaheadS > cfg.RadioLatencyS {
-		return SwarmResult{}, fmt.Errorf("scenario: lookahead %g exceeds radio latency %g: %w",
+		return SwarmResult{}, nil, fmt.Errorf("scenario: lookahead %g exceeds radio latency %g: %w",
 			cfg.LookaheadS, cfg.RadioLatencyS, &sim.LookaheadError{LookaheadS: cfg.LookaheadS})
 	}
 
@@ -294,12 +301,12 @@ func RunSwarm(cfg SwarmConfig) (SwarmResult, error) {
 	cix := geo.BuildCellIndex(cellRects, pts)
 	se, err := sim.NewSharded(cfg.Seed, len(cellRects), cfg.LookaheadS, cfg.Shards)
 	if err != nil {
-		return SwarmResult{}, err
+		return SwarmResult{}, nil, err
 	}
 	ix := netsim.BuildNeighborIndex(pts, ranges)
 	radio, err := netsim.NewRadio(se, ix, cix.CellOwners(), cfg.RadioLatencyS)
 	if err != nil {
-		return SwarmResult{}, err
+		return SwarmResult{}, nil, err
 	}
 
 	// One fault injector per cell, seeded from (root seed, cell id):
@@ -312,19 +319,31 @@ func RunSwarm(cfg SwarmConfig) (SwarmResult, error) {
 	}
 
 	anchorEvery := int(math.Max(1, math.Round(1/cfg.AnchorFrac)))
-	full := uint64(1)<<uint(cfg.Rumors) - 1
 
-	// One value slice: each element is owned by its device's cell, so
-	// cell workers write disjoint elements of it.
-	devs := make([]swarmDev, n)
-	cellOf := cix.CellOwners()
+	// Device state is laid out cell-major: each cell's devices sit in
+	// one contiguous block, ascending ids within it, so a cell worker
+	// touches only its own block and a receiver span (ascending ids of
+	// one cell) walks memory forward. Everything that draws randomness
+	// or schedules events still runs in device-id order below.
+	m := &swarmTables{
+		devs:   make([]swarmDev, n),
+		slot:   make([]int32, n),
+		pts:    pts,
+		cellOf: cix.CellOwners(),
+		se:     se,
+		full:   uint64(1)<<uint(cfg.Rumors) - 1,
+	}
+	cellOf := m.cellOf
+	for c, i := 0, 0; c < len(cellRects); c++ {
+		for _, d := range cix.Devices(c) {
+			m.slot[d] = int32(i)
+			i++
+		}
+	}
 	anchors := 0
 	for d := 0; d < n; d++ {
-		cls := cfg.Mix[classOf[d]]
-		eng := se.Cell(cellOf[d]).Engine()
-		s := &devs[d]
+		s := m.dev(d)
 		s.class, s.heardAllAt = classOf[d], -1
-		s.dev = device.New(eng, d, cls.Cfg, nil)
 		if d%anchorEvery == 0 {
 			s.anchor = true
 			s.est = pts[d]
@@ -334,18 +353,28 @@ func RunSwarm(cfg SwarmConfig) (SwarmResult, error) {
 			s.est = geo.Point{X: layout.Float64() * cfg.FieldM, Y: layout.Float64() * cfg.FieldM}
 		}
 	}
+	// Devices are built in the same cell-major order, so each cell's
+	// device structs are allocated together too. Each engine still
+	// sees its own devices' tickers scheduled in ascending id order.
+	for c := 0; c < len(cellRects); c++ {
+		eng := se.Cell(c).Engine()
+		for _, d := range cix.Devices(c) {
+			s := m.dev(d)
+			s.dev = device.New(eng, d, cfg.Mix[s.class].Cfg, nil)
+		}
+	}
 	for r := 0; r < cfg.Rumors; r++ {
-		devs[r*n/cfg.Rumors].rumors |= 1 << uint(r)
+		m.dev(r * n / cfg.Rumors).rumors |= 1 << uint(r)
 	}
 
-	locErrStart := meanLocErr(devs, pts, -1)
+	locErrStart := m.meanLocErr()
 
 	// Mission loops. Per-iteration jitter draws from the owning cell's
 	// engine RNG: within a cell events execute in one deterministic
 	// order, so the draws are reproducible at any worker count.
 	for d := 0; d < n; d++ {
 		d := d
-		s := &devs[d]
+		s := m.dev(d)
 		cls := cfg.Mix[s.class]
 		cell := se.Cell(cellOf[d])
 		eng := cell.Engine()
@@ -362,28 +391,9 @@ func RunSwarm(cfg SwarmConfig) (SwarmResult, error) {
 			}
 			// Snapshot everything the receivers need by value: deliver
 			// callbacks run later, on other cells.
-			est, conf, rumors := s.est, s.conf, s.rumors
-			srcPos := pts[d]
-			payload := cls.BeaconMB
-			s.dev.Transmit(payload)
-			radio.Broadcast(d, func(dst int) {
-				r := &devs[dst]
-				if r.dev.Failed() {
-					return
-				}
-				r.dev.Receive(payload)
-				if old := r.rumors; old != full {
-					r.rumors |= rumors
-					if r.rumors == full {
-						r.heardAllAt = se.Cell(cellOf[dst]).Engine().Now()
-					}
-				}
-				if conf > 0 {
-					rEng := se.Cell(cellOf[dst]).Engine()
-					noisy := srcPos.Dist(pts[dst]) * (1 + 0.02*rEng.Rand().NormFloat64())
-					r.pushObs(obs{est: est, conf: conf, dist: noisy})
-				}
-			})
+			b := beaconSnap{est: s.est, conf: s.conf, rumors: s.rumors, payload: cls.BeaconMB}
+			s.dev.Transmit(b.payload)
+			radio.Broadcast(d, func(dst int) { m.deliver(d, dst, b) })
 			eng.Defer(cls.BeaconPeriodS*(0.9+0.2*eng.Rand().Float64()), beacon)
 		}
 		eng.DeferAt(layout.Float64()*cls.BeaconPeriodS, beacon)
@@ -421,8 +431,8 @@ func RunSwarm(cfg SwarmConfig) (SwarmResult, error) {
 		perClassErr[i] = &stats.Sample{}
 	}
 	covered := 0
-	for d := range devs {
-		s := &devs[d]
+	for d := 0; d < n; d++ {
+		s := m.dev(d)
 		s.dev.Settle()
 		c := &perClass[s.class]
 		c.Count++
@@ -431,7 +441,7 @@ func RunSwarm(cfg SwarmConfig) (SwarmResult, error) {
 			res.Failed++
 			c.Failed++
 		}
-		if s.rumors == full {
+		if s.rumors == m.full {
 			covered++
 			c.CoveredFrac++
 			if s.heardAllAt >= 0 {
@@ -465,19 +475,64 @@ func RunSwarm(cfg SwarmConfig) (SwarmResult, error) {
 		res.SpreadP50S = spread[len(spread)/2]
 		res.SpreadP99S = spread[(len(spread)*99)/100]
 	}
-	return res, nil
+	return res, se, nil
 }
 
-// meanLocErr averages non-anchor position error (class < 0 → all
-// classes).
-func meanLocErr(devs []swarmDev, pts []geo.Point, class int) float64 {
+// swarmTables is the mission's shared state, hoisted into one struct
+// so each per-broadcast deliver closure captures a single pointer
+// instead of every table it reads.
+type swarmTables struct {
+	devs   []swarmDev // cell-major; index through slot
+	slot   []int32    // device id → index into devs
+	pts    []geo.Point
+	cellOf []int
+	se     *sim.ShardedEngine
+	full   uint64 // rumor mask with every rumor heard
+}
+
+// dev returns device d's mission state.
+func (m *swarmTables) dev(d int) *swarmDev { return &m.devs[m.slot[d]] }
+
+// beaconSnap is what a beacon carries, snapshotted by value at send
+// time: receivers read it later, on other cells.
+type beaconSnap struct {
+	est     geo.Point
+	conf    float64
+	rumors  uint64
+	payload float64
+}
+
+// deliver applies src's beacon b at receiver dst. It runs on dst's
+// owning cell, which owns dst's state.
+func (m *swarmTables) deliver(src, dst int, b beaconSnap) {
+	r := m.dev(dst)
+	if r.dev.Failed() {
+		return
+	}
+	r.dev.Receive(b.payload)
+	if old := r.rumors; old != m.full {
+		r.rumors |= b.rumors
+		if r.rumors == m.full {
+			r.heardAllAt = m.se.Cell(m.cellOf[dst]).Engine().Now()
+		}
+	}
+	if b.conf > 0 {
+		rEng := m.se.Cell(m.cellOf[dst]).Engine()
+		noisy := m.pts[src].Dist(m.pts[dst]) * (1 + 0.02*rEng.Rand().NormFloat64())
+		r.pushObs(obs{est: b.est, conf: b.conf, dist: noisy})
+	}
+}
+
+// meanLocErr averages non-anchor position error over the fleet, in
+// device-id order.
+func (m *swarmTables) meanLocErr() float64 {
 	sum, n := 0.0, 0
-	for d := range devs {
-		s := &devs[d]
-		if s.anchor || (class >= 0 && s.class != class) {
+	for d := range m.slot {
+		s := m.dev(d)
+		if s.anchor {
 			continue
 		}
-		sum += s.est.Dist(pts[d])
+		sum += s.est.Dist(m.pts[d])
 		n++
 	}
 	if n == 0 {

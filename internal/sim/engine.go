@@ -14,7 +14,9 @@
 // list (safe because Cancel drops the callback and recycling bumps a
 // generation counter that stale Timer handles check), and the priority
 // queue is a hand-rolled binary heap with inlined comparisons rather
-// than container/heap's interface-dispatched one.
+// than container/heap's interface-dispatched one. Each heap slot holds
+// its event's (time, seq) key inline, so a sift compares adjacent
+// memory instead of chasing two event pointers per comparison.
 package sim
 
 import (
@@ -28,18 +30,25 @@ type Time = float64
 // Infinity is a time later than any event the simulator will ever reach.
 const Infinity Time = 1e18
 
-// event is a scheduled closure. seq breaks ties between events scheduled
-// for the same instant so execution order matches scheduling order. gen
-// counts recycles: a Timer binds to (event, gen) and goes inert once the
-// event is returned to the pool, so handle reuse cannot cancel an
-// unrelated later event.
+// event is a scheduled closure. gen counts recycles: a Timer binds to
+// (event, gen) and goes inert once the event is returned to the pool,
+// so handle reuse cannot cancel an unrelated later event. The event
+// carries no sort key and no heap index: its (at, seq) key lives
+// inline in the heap entry that points at it.
 type event struct {
-	at     Time
-	seq    uint64
 	fn     func()
 	cancel bool
-	index  int    // heap index, -1 once popped
 	gen    uint32 // bumped on every recycle
+}
+
+// entry is one heap slot: the event's sort key stored next to the
+// pointer, so a sift compares keys without dereferencing scattered
+// events. seq breaks ties between events scheduled for the same
+// instant so execution order matches scheduling order.
+type entry struct {
+	at  Time
+	seq uint64
+	ev  *event
 }
 
 // Engine is a discrete-event simulation executive. It is not safe for
@@ -47,7 +56,7 @@ type event struct {
 // Run / RunUntil.
 type Engine struct {
 	now    Time
-	events []*event // binary min-heap on (at, seq)
+	events []entry // binary min-heap on (at, seq)
 	seq    uint64
 	rng    *rand.Rand
 	// free recycles event structs. It is deliberately per-engine rather
@@ -76,44 +85,41 @@ func (e *Engine) Rand() *rand.Rand { return e.rng }
 // Steps reports how many events have been executed so far.
 func (e *Engine) Steps() uint64 { return e.steps }
 
-// less orders events by time, ties broken by scheduling order.
-func less(a, b *event) bool {
+// less orders entries by time, ties broken by scheduling order.
+func less(a, b *entry) bool {
 	if a.at != b.at {
 		return a.at < b.at
 	}
 	return a.seq < b.seq
 }
 
-// push inserts ev into the heap. The common case — an event scheduled
+// push inserts x into the heap. The common case — an event scheduled
 // later than everything pending — is a single append plus one parent
 // comparison; out-of-order inserts sift up as usual.
-func (e *Engine) push(ev *event) {
-	h := append(e.events, ev)
+func (e *Engine) push(x entry) {
+	h := append(e.events, x)
 	i := len(h) - 1
-	ev.index = i
 	for i > 0 {
 		p := (i - 1) / 2
-		if !less(ev, h[p]) {
+		if !less(&x, &h[p]) {
 			break
 		}
 		h[i] = h[p]
-		h[i].index = i
 		i = p
 	}
-	h[i] = ev
-	ev.index = i
+	h[i] = x
 	e.events = h
 }
 
-// pop removes and returns the earliest event. It sifts a hole down and
-// drops the displaced tail element in once, halving pointer writes
-// versus swap-based sift.
-func (e *Engine) pop() *event {
+// pop removes and returns the earliest entry. It sifts a hole down and
+// drops the displaced tail entry in once, halving writes versus
+// swap-based sift.
+func (e *Engine) pop() entry {
 	h := e.events
 	top := h[0]
 	n := len(h) - 1
 	last := h[n]
-	h[n] = nil
+	h[n] = entry{}
 	h = h[:n]
 	if n > 0 {
 		i := 0
@@ -122,21 +128,18 @@ func (e *Engine) pop() *event {
 			if c >= n {
 				break
 			}
-			if r := c + 1; r < n && less(h[r], h[c]) {
+			if r := c + 1; r < n && less(&h[r], &h[c]) {
 				c = r
 			}
-			if !less(h[c], last) {
+			if !less(&h[c], &last) {
 				break
 			}
 			h[i] = h[c]
-			h[i].index = i
 			i = c
 		}
 		h[i] = last
-		last.index = i
 	}
 	e.events = h
-	top.index = -1
 	return top
 }
 
@@ -163,12 +166,10 @@ func (e *Engine) schedule(t Time, fn func()) *event {
 	} else {
 		ev = new(event)
 	}
-	ev.at = t
-	ev.seq = e.seq
 	ev.fn = fn
 	ev.cancel = false
+	e.push(entry{at: t, seq: e.seq, ev: ev})
 	e.seq++
-	e.push(ev)
 	return ev
 }
 
@@ -193,12 +194,14 @@ func (t *Timer) Cancel() bool {
 		// or is mid-dispatch; nothing to prevent.
 		return false
 	}
+	// A popped event is recycled (gen bumped) before its callback runs,
+	// so a matching gen with a live fn means the event is still queued.
 	ev.cancel = true
 	// Release the closure immediately: a cancelled event can sit in the
 	// heap until popped, and fn may capture large model state.
 	ev.fn = nil
 	t.cancelled = true
-	return ev.index != -1
+	return true
 }
 
 // Stopped reports whether the timer has been cancelled.
@@ -311,12 +314,13 @@ func (e *Engine) RunUntil(limit Time) uint64 {
 			e.now = limit
 			return executed
 		}
-		next := e.pop()
+		top := e.pop()
+		next := top.ev
 		if next.cancel {
 			e.recycle(next)
 			continue
 		}
-		e.now = next.at
+		e.now = top.at
 		fn := next.fn
 		next.fn = nil
 		e.recycle(next)

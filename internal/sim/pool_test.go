@@ -110,6 +110,34 @@ func TestSelfCancelDuringDispatchIsNoop(t *testing.T) {
 	}
 }
 
+// TestTimerCancelDuringOwnDispatch: a popped event is recycled before
+// its callback runs, so a callback that schedules again may be handed
+// its own event struct back in a new life. Cancelling the old handle
+// from inside the callback must still report false and must leave the
+// new event alone — the property that lets Cancel drop the heap index.
+func TestTimerCancelDuringOwnDispatch(t *testing.T) {
+	e := NewEngine(1)
+	var tm *Timer
+	var reused, followUp bool
+	tm = e.At(1, func() {
+		next := e.At(2, func() { followUp = true })
+		reused = next.ev == tm.ev
+		if tm.Cancel() {
+			t.Error("Cancel from the timer's own callback reported true")
+		}
+		if next.Stopped() {
+			t.Error("cancelling the fired handle stopped the recycled event")
+		}
+	})
+	e.Run()
+	if !reused {
+		t.Fatal("follow-up did not reuse the dispatched event; test exercises nothing")
+	}
+	if !followUp {
+		t.Fatal("the follow-up scheduled on the recycled event never ran")
+	}
+}
+
 // TestScheduleFireLoopAllocs asserts the steady-state allocation budget
 // of the schedule-fire hot loop: with pooled events, a Defer round trip
 // is allocation-free and an After round trip costs at most the Timer

@@ -39,8 +39,10 @@ package sim
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
+	"time"
 )
 
 // SeedFor derives the deterministic RNG seed for one cell of a sharded
@@ -131,13 +133,32 @@ type ShardedEngine struct {
 	workers   int
 
 	// Per-window scheduling state: windowEnd is published to workers
-	// via the work channel send (happens-before), cursor hands out
-	// cells to whichever worker is free.
+	// by the barrier's generation bump (happens-before), cursor hands
+	// out order's cells to whichever worker is free. order holds the
+	// same cells as cells; only tests ever permute it.
 	windowEnd Time
 	cursor    atomic.Int64
+	order     []*Cell
 
 	windows uint64
 	crossed uint64
+	timing  Timing
+}
+
+// Timing is a sharded executive's wall-clock accounting, accumulated
+// over every Run call. Unlike Windows or Steps it depends on the host
+// and the worker count, so no simulation result may include it.
+// Busy and Wait are summed over the goroutines that sweep cells, so
+// Busy+Wait is the sweep phase's wall time times their number.
+type Timing struct {
+	// Busy is time spent advancing cells.
+	Busy time.Duration
+	// Wait is barrier time: from a window's publication to the start of
+	// a goroutine's sweep, plus from the end of its sweep until every
+	// sweep of the window is done.
+	Wait time.Duration
+	// Exchange is time spent draining outboxes between windows.
+	Exchange time.Duration
 }
 
 // NewSharded builds a sharded executive with the given number of cells.
@@ -164,6 +185,7 @@ func NewSharded(rootSeed int64, cells int, lookaheadS Time, workers int) (*Shard
 	for i := range se.cells {
 		se.cells[i] = &Cell{se: se, id: i, eng: NewEngine(SeedFor(rootSeed, i))}
 	}
+	se.order = slices.Clone(se.cells)
 	return se, nil
 }
 
@@ -181,6 +203,10 @@ func (s *ShardedEngine) Lookahead() Time { return s.lookahead }
 
 // Windows returns how many synchronization windows have executed.
 func (s *ShardedEngine) Windows() uint64 { return s.windows }
+
+// Timing returns the executive's wall-clock accounting so far. Call it
+// between Run calls.
+func (s *ShardedEngine) Timing() Timing { return s.timing }
 
 // CrossMessages returns how many cross-cell deliveries have been
 // exchanged at barriers so far.
@@ -225,7 +251,7 @@ func (s *ShardedEngine) sweep() {
 		if i >= n {
 			return
 		}
-		c := s.cells[i]
+		c := s.order[i]
 		c.executed += c.eng.RunUntil(end)
 	}
 }
@@ -252,6 +278,95 @@ func (s *ShardedEngine) exchange() int {
 	return moved
 }
 
+// shuffleSweep, when set, permutes the order in which the next
+// window's sweep hands out cells. Only tests set it: results must not
+// depend on that order.
+var shuffleSweep func(order []*Cell)
+
+// spinFor bounds how long a goroutine polls the barrier before it
+// parks. A window's sweep and exchange take tens to hundreds of
+// microseconds, so a short spin catches most handoffs without the
+// wake-up latency of a parked goroutine, and a long window costs at
+// most this much CPU per waiter.
+const spinFor = 50 * time.Microsecond
+
+// barrier is the window handshake between Run's goroutine and its
+// workers. Run publishes a window by bumping gen; each worker sweeps
+// and counts itself into done. Both sides wait the same way: poll the
+// atomic for up to spinFor, if a spin slot is free, then park. At most
+// GOMAXPROCS-1 goroutines spin at once, so spinning never starves the
+// goroutines being waited for of a processor.
+type barrier struct {
+	gen  atomic.Uint64 // window generation; bumped to publish a window
+	done atomic.Int32  // workers finished with the current window
+	quit atomic.Bool   // set before the final bump: workers exit
+
+	spinners atomic.Int32
+	maxSpin  int32
+
+	workers, main parker
+}
+
+// parker is where goroutines waiting on one barrier condition sleep.
+type parker struct {
+	mu     sync.Mutex
+	cond   sync.Cond
+	parked atomic.Int32
+}
+
+// slotTries is how many polls a waiter without a spin slot makes,
+// retrying for one, before it parks: at a handoff the goroutine being
+// woken usually still holds its slot for a few nanoseconds.
+const slotTries = 128
+
+// wait returns once ready reports true. A waiter that holds a spin
+// slot polls for up to spinFor; one that cannot get a slot polls only
+// while it retries for one. Either then parks on p.
+func (b *barrier) wait(p *parker, ready func() bool) {
+	var start time.Time
+	slot := false
+	for i := 0; ; i++ {
+		if ready() {
+			if slot {
+				b.spinners.Add(-1)
+			}
+			return
+		}
+		if !slot {
+			if i >= slotTries {
+				break
+			}
+			if n := b.spinners.Load(); n < b.maxSpin && b.spinners.CompareAndSwap(n, n+1) {
+				slot, start = true, time.Now()
+			}
+			continue
+		}
+		if i%64 == 0 && time.Since(start) > spinFor {
+			b.spinners.Add(-1)
+			break
+		}
+	}
+	p.mu.Lock()
+	// Announce the park before the final check: the waker makes ready
+	// true before it reads parked, so one of the two sees the other.
+	p.parked.Add(1)
+	for !ready() {
+		p.cond.Wait()
+	}
+	p.parked.Add(-1)
+	p.mu.Unlock()
+}
+
+// wake rouses p's parked goroutines, if any. Call it after making
+// their condition true.
+func (p *parker) wake() {
+	if p.parked.Load() > 0 {
+		p.mu.Lock()
+		p.cond.Broadcast()
+		p.mu.Unlock()
+	}
+}
+
 // Run executes events with timestamps <= limit across all cells and
 // advances every cell's clock to exactly limit (mirroring
 // Engine.RunUntil's window-stepping contract). It returns the number
@@ -259,44 +374,45 @@ func (s *ShardedEngine) exchange() int {
 func (s *ShardedEngine) Run(limit Time) uint64 {
 	before := s.Steps()
 
-	// Persistent workers for this Run call: each window hands them one
-	// token; they sweep and hit the barrier. Spawned only when the
-	// configuration actually allows parallelism.
+	// Persistent workers for this Run call, spawned only when the
+	// configuration actually allows parallelism: each window they
+	// sweep alongside Run's goroutine and meet it at the barrier. Run
+	// stops them and waits for them to exit before it returns.
 	nw := s.workers
 	if nw > len(s.cells) {
 		nw = len(s.cells)
 	}
-	var (
-		work    chan struct{}
-		barrier sync.WaitGroup
-	)
-	if nw > 1 {
-		work = make(chan struct{})
-		for i := 0; i < nw-1; i++ {
-			go func() {
-				for range work {
-					s.sweep()
-					barrier.Done()
+	b := &barrier{maxSpin: int32(runtime.GOMAXPROCS(0) - 1)}
+	b.workers.cond.L = &b.workers.mu
+	b.main.cond.L = &b.main.mu
+	var busy atomic.Int64 // nanoseconds, summed over sweeping goroutines
+	var windowWall time.Duration
+	var exited sync.WaitGroup
+	for w := 1; w < nw; w++ {
+		exited.Add(1)
+		go func() {
+			defer exited.Done()
+			for gen := uint64(1); ; gen++ {
+				b.wait(&b.workers, func() bool { return b.gen.Load() >= gen })
+				if b.quit.Load() {
+					return
 				}
-			}()
-		}
-		defer close(work)
-	}
-
-	runWindow := func(end Time) {
-		s.windowEnd = end
-		s.cursor.Store(0)
-		if nw > 1 {
-			barrier.Add(nw - 1)
-			for i := 0; i < nw-1; i++ {
-				work <- struct{}{}
+				t := time.Now()
+				s.sweep()
+				busy.Add(int64(time.Since(t)))
+				if b.done.Add(1) == int32(nw-1) {
+					b.main.wake()
+				}
 			}
-		}
-		s.sweep()
-		if nw > 1 {
-			barrier.Wait()
-		}
-		s.windows++
+		}()
+	}
+	if nw > 1 {
+		defer func() {
+			b.quit.Store(true)
+			b.gen.Add(1)
+			b.workers.wake()
+			exited.Wait()
+		}()
 	}
 
 	for {
@@ -308,9 +424,32 @@ func (s *ShardedEngine) Run(limit Time) uint64 {
 		if end > limit {
 			end = limit
 		}
-		runWindow(end)
+		if shuffleSweep != nil {
+			shuffleSweep(s.order)
+		}
+		s.windowEnd = end
+		s.cursor.Store(0)
+		b.done.Store(0)
+		t := time.Now()
+		if nw > 1 {
+			b.gen.Add(1)
+			b.workers.wake()
+		}
+		sweepStart := time.Now()
+		s.sweep()
+		busy.Add(int64(time.Since(sweepStart)))
+		if nw > 1 {
+			b.wait(&b.main, func() bool { return b.done.Load() == int32(nw-1) })
+		}
+		windowWall += time.Since(t)
+		s.windows++
+
+		t = time.Now()
 		s.exchange()
+		s.timing.Exchange += time.Since(t)
 	}
+	s.timing.Busy += time.Duration(busy.Load())
+	s.timing.Wait += time.Duration(nw)*windowWall - time.Duration(busy.Load())
 
 	// Land every clock exactly on limit, like RunUntil does for a
 	// window boundary (queues may still hold events beyond limit).

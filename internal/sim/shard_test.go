@@ -190,6 +190,22 @@ func TestShardParityAcrossWorkerCounts(t *testing.T) {
 	}
 }
 
+// TestShardParityUnderSweepOrder: the randomized cross-cell model must
+// trace identically when every window hands its cells out in a fresh
+// shuffled order, to one worker or to several.
+func TestShardParityUnderSweepOrder(t *testing.T) {
+	baseTrace, baseRng := shardTrace(t, 1)
+	for seed := int64(1); seed <= 5; seed++ {
+		workers := []int{1, 4}[seed%2]
+		restore := ShuffleSweeps(seed)
+		tr, rng := shardTrace(t, workers)
+		restore()
+		if !reflect.DeepEqual(tr, baseTrace) || !reflect.DeepEqual(rng, baseRng) {
+			t.Fatalf("sweep order %d (workers=%d) diverged from the in-order run", seed, workers)
+		}
+	}
+}
+
 // TestShardRepeatedRunWindows: Run can be called in fixed steps (the
 // scenario pattern) and clocks land exactly on each boundary.
 func TestShardRepeatedRunWindows(t *testing.T) {
