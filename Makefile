@@ -45,12 +45,13 @@ race-sim:
 # Controller-peer race lane: the election and lease loops calling their
 # peers through one-endpoint FailoverClients, and Close turning
 # terminal under concurrent calls (Replica.Kill races vote and lease
-# goroutines that are still calling). GOMAXPROCS=4 and -count=10 for
-# the schedule diversity such races need to show.
+# goroutines that are still calling), plus the metrics.Registry those
+# goroutines all report into concurrently. GOMAXPROCS=4 and -count=10
+# for the schedule diversity such races need to show.
 race-ctl:
 	GOMAXPROCS=4 $(GO) test -race -count=10 \
-		-run 'Replica|Failover|StepDown' \
-		./internal/controller/ ./internal/rpc/
+		-run 'Replica|Failover|StepDown|Registry' \
+		./internal/controller/ ./internal/rpc/ ./internal/metrics/
 
 # Fault-injection suite: every chaos test seeds its injectors and RNGs
 # (fixed seeds baked into the tests), so this run is deterministic.
@@ -70,11 +71,17 @@ crash-smoke:
 
 # Observability smoke run: a real TCP fleet with traced requests and a
 # chaos-killed primary must emit a non-empty, valid Chrome trace whose
-# lanes cover every layer of the stack.
+# lanes cover every layer of the stack, and its metrics dump (the same
+# registry /metrics serves) must show the election and the failover.
 live-smoke:
-	$(GO) run ./cmd/hivemind-live -replicas 3 -requests 10 -kill -trace live.json
+	$(GO) run ./cmd/hivemind-live -replicas 3 -requests 10 -kill -trace live.json > live.out \
+		|| { cat live.out; exit 1; }
+	cat live.out
 	$(GO) run ./cmd/hivemind-tracecheck -in live.json \
 		-tracks gateway,controller,rpc,runtime
+	grep -q '^counter ctrl-election ' live.out || { echo "live-smoke: no ctrl-election counter in metrics"; exit 1; }
+	grep -q '^counter ctrl-failover ' live.out || { echo "live-smoke: no ctrl-failover counter in metrics"; exit 1; }
+	rm -f live.out
 
 # Overload smoke run: an in-process fleet driven open-loop at 1.5x its
 # measured capacity for 30s. The gate inside the loadgen asserts the

@@ -78,7 +78,6 @@ func run(replicas, requests int, kill bool, seed int64, traceFn, walDir, httpAdd
 	rec := trace.NewRecorder(0)
 	live := trace.NewLive(rec)
 	reg := metrics.NewRegistry()
-	mon := controller.NewMonitor()
 	inj := chaos.NewInjector(seed, chaos.Config{})
 
 	var db *store.DB
@@ -99,7 +98,7 @@ func run(replicas, requests int, kill bool, seed int64, traceFn, walDir, httpAdd
 		db.SetMonitor(reg)
 	}
 
-	nodes, err := startFleet(replicas, seed, live, reg, mon, inj, db)
+	nodes, err := startFleet(replicas, seed, live, reg, inj, db)
 	if err != nil {
 		return err
 	}
@@ -164,7 +163,7 @@ func run(replicas, requests int, kill bool, seed int64, traceFn, walDir, httpAdd
 		bd.Merge(nd.breakdown)
 	}
 	fmt.Println(stageTable(bd))
-	fmt.Printf("controller: %s\n", mon.Failover())
+	fmt.Printf("controller: %s\n", controller.FailoverOf(reg))
 
 	fmt.Println("metrics:")
 	if err := reg.WriteText(os.Stdout); err != nil {
@@ -219,10 +218,10 @@ func run(replicas, requests int, kill bool, seed int64, traceFn, walDir, httpAdd
 // startFleet boots n controller replicas, each fronting a gateway that
 // serves the demo sense→plan→act chain over a shared durable store,
 // with the full observability layer wired in: shared tracer, per-node
-// breakdown, metrics registry as the gateway monitor, and the RPC
-// server interceptor timing every inbound hop.
+// breakdown, one metrics registry for the gateways and the controller
+// replicas, and the RPC server interceptor timing every inbound hop.
 func startFleet(n int, seed int64, live *trace.Live, reg *metrics.Registry,
-	mon *controller.Monitor, inj *chaos.Injector, db *store.DB) ([]*liveNode, error) {
+	inj *chaos.Injector, db *store.DB) ([]*liveNode, error) {
 	chain, fns := demoChain()
 
 	ctrlLns := make([]net.Listener, n)
@@ -270,7 +269,7 @@ func startFleet(n int, seed int64, live *trace.Live, reg *metrics.Registry,
 			addr := ctrlAddrs[j]
 			peers[j] = func() (net.Conn, error) { return net.Dial("tcp", addr) }
 		}
-		rep := controller.NewReplica(ccfg, peers, mon)
+		rep := controller.NewReplica(ccfg, peers, reg)
 		rep.SetTracer(live)
 
 		bd := stats.NewBreakdown()

@@ -172,6 +172,20 @@ func waitNoOrphans(t *testing.T, log *store.CheckpointLog, timeout time.Duration
 	}
 }
 
+// waitCount polls until a registry counter reaches min. A promoted
+// replica adds ctrl-orphan-redispatch when its Recover call returns,
+// a moment after the checkpoint log has drained.
+func waitCount(t *testing.T, mon *controller.Monitor, name string, min int, timeout time.Duration) {
+	t.Helper()
+	deadline := time.Now().Add(timeout)
+	for mon.Count(name) < min {
+		if time.Now().After(deadline) {
+			t.Fatalf("%s = %d after %v, want >= %d", name, mon.Count(name), timeout, min)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
 // assertExactlyOnce checks every step output of a task committed at
 // generation 1 with the expected lineage.
 func assertExactlyOnce(t *testing.T, db *store.DB, taskID string) {
@@ -267,9 +281,7 @@ func TestCrashRestartE2ERecoversFromWAL(t *testing.T) {
 	if db2.Fence() == 0 {
 		t.Fatal("recovered cluster's promotion never raised the store fence")
 	}
-	if mon.Count(controller.EventOrphanRedispatch) < 1 {
-		t.Fatal("no orphan re-dispatch recorded")
-	}
+	waitCount(t, mon, controller.EventOrphanRedispatch, 1, 5*time.Second)
 }
 
 // Acceptance: snapshot+compaction runs underneath live traffic, and a

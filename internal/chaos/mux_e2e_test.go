@@ -134,7 +134,7 @@ func TestFailoverE2EMuxedStreamsAcrossPrimaryKill(t *testing.T) {
 			t.Fatalf("step %d output = %q, want %q", step, doc.Body, want[step])
 		}
 	}
-	if fo := mon.Failover(); fo.Failovers < 1 {
+	if fo := controller.FailoverOf(mon); fo.Failovers < 1 {
 		t.Fatalf("failovers = %d, want >= 1", fo.Failovers)
 	}
 	cfg := fastCtrlConfig(0, 3, 0)

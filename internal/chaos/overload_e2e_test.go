@@ -300,10 +300,10 @@ func waitFailover(t *testing.T, mon *controller.Monitor, timeout time.Duration) 
 	t.Helper()
 	deadline := time.Now().Add(timeout)
 	for time.Now().Before(deadline) {
-		if mon.Failover().Failovers >= 1 {
+		if controller.FailoverOf(mon).Failovers >= 1 {
 			return
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	t.Fatalf("no failover recorded: %s", fmt.Sprint(mon.Failover()))
+	t.Fatalf("no failover recorded: %s", fmt.Sprint(controller.FailoverOf(mon)))
 }

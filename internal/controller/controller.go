@@ -11,10 +11,10 @@ package controller
 
 import (
 	"fmt"
-	"sync"
 
 	"hivemind/internal/device"
 	"hivemind/internal/geo"
+	"hivemind/internal/metrics"
 	"hivemind/internal/sim"
 	"hivemind/internal/stats"
 )
@@ -221,89 +221,13 @@ func (c *Controller) LeastLoadedDevice() *device.Device {
 
 // Monitor is the controller's metrics registry: cheap counters and
 // latency samples whose overhead is negligible (§4.7: <0.1% on tail
-// latency). It is safe for concurrent use, so the real runtime's
-// gateway and hardened RPC clients can report into it alongside the
-// single-threaded simulator (it satisfies runtime.GatewayMonitor).
-type Monitor struct {
-	mu       sync.Mutex
-	counters map[string]int
-	samples  map[string]*stats.Sample
-	enabled  bool
-}
+// latency). It is the one metrics.Registry, so the simulated
+// controller, the live replicas, the gateways and the store can all
+// report into the same instance.
+type Monitor = metrics.Registry
 
-// NewMonitor returns an enabled monitor.
-func NewMonitor() *Monitor {
-	return &Monitor{counters: map[string]int{}, samples: map[string]*stats.Sample{}, enabled: true}
-}
-
-// SetEnabled toggles collection (for overhead experiments).
-func (m *Monitor) SetEnabled(on bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.enabled = on
-}
-
-// CountEvent increments a named counter.
-func (m *Monitor) CountEvent(name string) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if !m.enabled {
-		return
-	}
-	m.counters[name]++
-}
-
-// CountEventN adds n occurrences of a named counter at once.
-func (m *Monitor) CountEventN(name string, n int) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if !m.enabled || n <= 0 {
-		return
-	}
-	m.counters[name] += n
-}
-
-// Count returns a counter's value.
-func (m *Monitor) Count(name string) int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.counters[name]
-}
-
-// Observe records a latency observation under a name.
-func (m *Monitor) Observe(name string, v float64) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if !m.enabled {
-		return
-	}
-	s, ok := m.samples[name]
-	if !ok {
-		s = &stats.Sample{}
-		m.samples[name] = s
-	}
-	s.Add(v)
-}
-
-// Sample returns a snapshot of the sample recorded under name (empty if
-// none). Snapshotting keeps concurrent Observe calls from racing with
-// the caller's percentile math.
-func (m *Monitor) Sample(name string) *stats.Sample {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := &stats.Sample{}
-	if s, ok := m.samples[name]; ok {
-		out.AddAll(s.Values()...)
-	}
-	return out
-}
-
-// String summarises the monitor contents.
-func (m *Monitor) String() string {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return fmt.Sprintf("monitor: %d counters, %d samples", len(m.counters), len(m.samples))
-}
+// NewMonitor returns an empty registry.
+func NewMonitor() *Monitor { return metrics.NewRegistry() }
 
 // FailoverStats is a snapshot of the controller-replication metrics —
 // the §4.7 hot-standby story made observable on both substrates.
@@ -318,9 +242,9 @@ type FailoverStats struct {
 	FailoverLatency *stats.Sample
 }
 
-// Failover snapshots the replication counters and the failover-latency
-// sample.
-func (m *Monitor) Failover() FailoverStats {
+// FailoverOf snapshots a registry's replication counters and
+// failover-latency sample.
+func FailoverOf(m *metrics.Registry) FailoverStats {
 	return FailoverStats{
 		Elections:           m.Count(EventElection),
 		Failovers:           m.Count(EventFailover),
@@ -328,7 +252,7 @@ func (m *Monitor) Failover() FailoverStats {
 		HeartbeatsMissed:    m.Count(EventHeartbeatMissed),
 		DeviceFailures:      m.Count(EventDeviceFailure),
 		RouteUpdates:        m.Count(EventRouteUpdate),
-		FailoverLatency:     m.Sample(SampleFailoverLatency),
+		FailoverLatency:     m.Histogram(SampleFailoverLatency),
 	}
 }
 

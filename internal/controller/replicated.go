@@ -239,8 +239,9 @@ type Replica struct {
 
 // NewReplica builds one controller replica. peerDials maps replica id →
 // dial function for every *other* replica; mon may be shared across the
-// replica set so counters aggregate (Monitor is goroutine-safe). The
-// replica starts as a follower; call Start to run its loops.
+// replica set (and with the gateways' /metrics registry) so counters
+// aggregate. The replica starts as a follower; call Start to run its
+// loops.
 func NewReplica(cfg ReplicaConfig, peerDials map[int]func() (net.Conn, error), mon *Monitor) *Replica {
 	if cfg.Replicas <= 0 {
 		cfg.Replicas = len(peerDials) + 1
@@ -636,7 +637,7 @@ func (r *Replica) runElection() {
 			ctx, cancel := context.WithTimeout(context.Background(), 10*r.cfg.HeartbeatTimeout)
 			defer cancel()
 			if n, err := recover(ctx); err == nil {
-				r.mon.CountEventN(EventOrphanRedispatch, n)
+				r.mon.Add(EventOrphanRedispatch, float64(n))
 			}
 		}()
 	}

@@ -149,7 +149,7 @@ func TestReplicaFailoverPromotesStandbyWithinBound(t *testing.T) {
 	if got := mon.Count(EventFailover); got < 1 {
 		t.Fatalf("failovers = %d, want >= 1", got)
 	}
-	lat := mon.Sample(SampleFailoverLatency)
+	lat := mon.Histogram(SampleFailoverLatency)
 	if lat.N() < 1 {
 		t.Fatal("no failover latency observation recorded")
 	}

@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"hivemind/internal/metrics"
 	"hivemind/internal/rpc"
 )
 
@@ -60,7 +61,7 @@ type pendingBatch struct {
 type batcher struct {
 	d       Dispatcher
 	opts    BatchOptions
-	monitor Monitor
+	monitor metrics.Sink
 	sent    *uint64 // server's dispatched counter: +1 per envelope
 
 	batches uint64 // envelopes flushed with >1 entry
@@ -70,7 +71,7 @@ type batcher struct {
 	closed bool
 }
 
-func newBatcher(d Dispatcher, opts BatchOptions, m Monitor, sent *uint64) *batcher {
+func newBatcher(d Dispatcher, opts BatchOptions, m metrics.Sink, sent *uint64) *batcher {
 	return &batcher{d: d, opts: opts.withDefaults(), monitor: m, sent: sent}
 }
 
@@ -157,10 +158,9 @@ func (b *batcher) flush(pb *pendingBatch) {
 	}
 	atomic.AddUint64(&b.batches, 1)
 	if b.monitor != nil {
-		b.monitor.CountEvent("ingress-batch")
-		if adder, ok := b.monitor.(interface{ Add(string, float64) }); ok {
-			adder.Add("ingress-batch-entries", float64(len(pb.entries)))
-		}
+		// One observation per envelope: the histogram's count is the
+		// number of batches, its mean the entries per batch.
+		b.monitor.Observe("ingress-batch-entries", float64(len(pb.entries)))
 	}
 	raw, err := b.d.Call(ctx, rpc.BatchMethod, rpc.EncodeBatch(pb.entries))
 	if err != nil {

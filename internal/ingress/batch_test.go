@@ -2,11 +2,15 @@ package ingress
 
 import (
 	"context"
+	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"hivemind/internal/metrics"
 	"hivemind/internal/rpc"
 )
 
@@ -157,5 +161,56 @@ func TestBatcherBigPayloadsBypassViaServer(t *testing.T) {
 	}
 	if d.batches.Load() != 0 {
 		t.Fatal("oversized payload went through the batch envelope")
+	}
+}
+
+// TestIngressBatchEntriesHistogram reads the batcher's one metric back
+// through a real registry: a burst of distinct jobs through a batching
+// Server leaves ingress-batch-entries with one observation per envelope
+// (N = batches dispatched) summing to the entries those envelopes
+// carried. Lone-entry flushes skip the envelope and are not observed.
+func TestIngressBatchEntriesHistogram(t *testing.T) {
+	d := &envelopeDispatcher{}
+	reg := metrics.NewRegistry()
+	s, err := NewServer(Options{
+		Dispatcher: d,
+		Monitor:    reg,
+		Batch:      BatchOptions{Window: 50 * time.Millisecond, MaxEntries: 4},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	ts := httptest.NewServer(s)
+	defer ts.Close()
+
+	// POST /do answers before dispatch, so back-to-back posts land in
+	// the same batch windows.
+	const n = 16
+	ids := make([]string, n)
+	for i := range ids {
+		ids[i] = postDo(t, ts, "job", fmt.Sprintf("p%02d", i), "")
+	}
+	for i, id := range ids {
+		code, body, _ := getThen(t, ts, id)
+		if want := fmt.Sprintf("job=p%02d", i); code != http.StatusOK || body != want {
+			t.Fatalf("job %d: %d %q, want 200 %q", i, code, body, want)
+		}
+	}
+
+	batches := d.batches.Load()
+	if batches == 0 {
+		t.Fatal("burst produced no batch envelope")
+	}
+	if st := s.Stats(); st.Coalesced != 0 || st.Batched != batches {
+		t.Fatalf("stats coalesced=%d batched=%d, want 0 and %d", st.Coalesced, st.Batched, batches)
+	}
+	h := reg.Histogram("ingress-batch-entries")
+	if uint64(h.N()) != batches {
+		t.Fatalf("histogram N = %d, want %d batches", h.N(), batches)
+	}
+	singles := d.calls.Load() - batches
+	if want := float64(n - singles); h.Sum() != want {
+		t.Fatalf("histogram sum = %g, want %g entries in envelopes", h.Sum(), want)
 	}
 }

@@ -26,6 +26,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"hivemind/internal/metrics"
 	"hivemind/internal/rpc"
 )
 
@@ -42,13 +43,6 @@ type DispatchFunc func(ctx context.Context, method string, payload []byte) ([]by
 // Call implements Dispatcher.
 func (f DispatchFunc) Call(ctx context.Context, method string, payload []byte) ([]byte, error) {
 	return f(ctx, method, payload)
-}
-
-// Monitor receives ingress events; metrics.Registry satisfies it. A
-// monitor that also implements Add(name string, v float64) gets batch
-// entry counts as weighted counters.
-type Monitor interface {
-	CountEvent(name string)
 }
 
 // ForwardHeader marks a request relayed from a sibling ingress so the
@@ -73,8 +67,9 @@ type Options struct {
 	// Lookup resolves a result id this ingress has no memory of against
 	// durable state (wire to Gateway.TaskResult). nil: unknown ids 404.
 	Lookup func(id string) ([]byte, bool, error)
-	// Monitor receives counters (optional).
-	Monitor Monitor
+	// Monitor receives the ingress-* counters and the
+	// ingress-batch-entries histogram (optional).
+	Monitor metrics.Sink
 	// Group balances jobs across a gateway queue group (optional; nil
 	// serves everything locally).
 	Group *QueueGroup

@@ -1,10 +1,10 @@
-// Package metrics is a small, goroutine-safe metrics registry for the
-// live substrate: counters, gauges, histograms (stats.Sample) and rate
-// meters (stats.Meter) behind one mutex, with a deterministic text
-// exposition format and an http.Handler. It is the live-fleet
-// counterpart of the sim-side controller.Monitor — and satisfies the
-// same sinks (runtime.GatewayMonitor), so one registry can absorb
-// gateway events, controller counters, and application metrics alike.
+// Package metrics is the stack's one metrics registry (§4.7's
+// lightweight monitoring system): counters, gauges, histograms
+// (stats.Sample) and rate meters (stats.Meter) behind one mutex, with a
+// deterministic text exposition format and an http.Handler. The
+// simulated and live controllers, the gateways, the store and the
+// ingress all report into a Registry through the one Sink interface,
+// so a single /metrics scrape covers the whole fleet.
 package metrics
 
 import (
@@ -17,6 +17,15 @@ import (
 
 	"hivemind/internal/stats"
 )
+
+// Sink is the write side of a Registry: the one interface every
+// component reports through. *Registry implements it; tests and
+// benchmarks may wrap a Registry to time or filter the calls.
+type Sink interface {
+	CountEvent(name string)
+	Observe(name string, v float64)
+	SetGauge(name string, v float64)
+}
 
 // Registry holds named metrics. The zero value is not usable; call
 // NewRegistry. All methods are safe for concurrent use.
@@ -50,11 +59,7 @@ func (r *Registry) Add(name string, v float64) {
 	r.mu.Unlock()
 }
 
-// Inc increments a counter by 1.
-func (r *Registry) Inc(name string) { r.Add(name, 1) }
-
-// CountEvent increments a counter by 1 (satisfies the counting half of
-// runtime.GatewayMonitor).
+// CountEvent increments a counter by 1.
 func (r *Registry) CountEvent(name string) { r.Add(name, 1) }
 
 // Counter returns a counter's value (0 if never written).
@@ -63,6 +68,10 @@ func (r *Registry) Counter(name string) float64 {
 	defer r.mu.Unlock()
 	return r.counters[name]
 }
+
+// Count returns a counter's value as an integer, for counters only ever
+// advanced by whole events.
+func (r *Registry) Count(name string) int { return int(r.Counter(name)) }
 
 // SetGauge records the current level of a named gauge, replacing any
 // lazy gauge registered under the same name.
@@ -96,8 +105,7 @@ func (r *Registry) Gauge(name string) float64 {
 	return r.gauges[name]
 }
 
-// Observe adds one observation to a named histogram (satisfies the
-// observing half of runtime.GatewayMonitor).
+// Observe adds one observation to a named histogram.
 func (r *Registry) Observe(name string, v float64) {
 	r.mu.Lock()
 	h, ok := r.hists[name]

@@ -11,7 +11,7 @@ import (
 
 func TestCountersAndGauges(t *testing.T) {
 	r := NewRegistry()
-	r.Inc("a")
+	r.CountEvent("a")
 	r.Add("a", 2)
 	r.CountEvent("a")
 	r.SetGauge("q", 3.5)
@@ -19,11 +19,17 @@ func TestCountersAndGauges(t *testing.T) {
 	if got := r.Counter("a"); got != 4 {
 		t.Fatalf("counter = %g, want 4", got)
 	}
+	if got := r.Count("a"); got != 4 {
+		t.Fatalf("count = %d, want 4", got)
+	}
 	if got := r.Gauge("q"); got != 1.5 {
 		t.Fatalf("gauge = %g, want 1.5", got)
 	}
-	if r.Counter("missing") != 0 || r.Gauge("missing") != 0 {
+	if r.Counter("missing") != 0 || r.Count("missing") != 0 || r.Gauge("missing") != 0 {
 		t.Fatal("missing metrics not zero")
+	}
+	if r.Histogram("missing").N() != 0 {
+		t.Fatal("missing histogram not empty")
 	}
 }
 
@@ -59,8 +65,8 @@ func TestMeterRates(t *testing.T) {
 
 func TestWriteTextDeterministicAndSorted(t *testing.T) {
 	r := NewRegistry()
-	r.Inc("z-count")
-	r.Inc("a-count")
+	r.CountEvent("z-count")
+	r.CountEvent("a-count")
 	r.SetGauge("depth", 2)
 	r.Observe("lat", 0.5)
 	var b1, b2 strings.Builder
@@ -86,7 +92,7 @@ func TestWriteTextDeterministicAndSorted(t *testing.T) {
 
 func TestHandlerServesText(t *testing.T) {
 	r := NewRegistry()
-	r.Inc("hits")
+	r.CountEvent("hits")
 	srv := httptest.NewServer(r.Handler())
 	defer srv.Close()
 	resp, err := srv.Client().Get(srv.URL)
@@ -103,7 +109,7 @@ func TestHandlerServesText(t *testing.T) {
 
 func TestDebugMuxRoutes(t *testing.T) {
 	r := NewRegistry()
-	r.Inc("hits")
+	r.CountEvent("hits")
 	rec := trace.NewRecorder(0)
 	rec.Add(trace.Span{Name: "s", Track: "t", StartS: 0, EndS: 1})
 	srv := httptest.NewServer(DebugMux(r, rec))
@@ -126,7 +132,8 @@ func TestDebugMuxRoutes(t *testing.T) {
 }
 
 // Rides the race detector: one registry absorbing concurrent gateway
-// events is the production configuration.
+// events and controller-replica counters while readers poll it is the
+// production configuration.
 func TestRegistryConcurrent(t *testing.T) {
 	r := NewRegistry()
 	var wg sync.WaitGroup
@@ -135,10 +142,12 @@ func TestRegistryConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				r.Inc("events")
+				r.CountEvent("events")
 				r.SetGauge("depth", float64(i))
 				r.Observe("lat", float64(i))
 				r.MeterAdd("reqs", 1)
+				_ = r.Count("events")
+				_ = r.Histogram("lat").N()
 			}
 		}()
 	}
@@ -153,8 +162,8 @@ func TestRegistryConcurrent(t *testing.T) {
 		}
 	}()
 	wg.Wait()
-	if got := r.Counter("events"); got != 1600 {
-		t.Fatalf("events = %g, want 1600", got)
+	if got := r.Count("events"); got != 1600 {
+		t.Fatalf("events = %d, want 1600", got)
 	}
 	if r.Histogram("lat").N() != 1600 {
 		t.Fatalf("lat n = %d, want 1600", r.Histogram("lat").N())

@@ -8,19 +8,16 @@ import (
 	"sync/atomic"
 	"time"
 
+	"hivemind/internal/metrics"
 	"hivemind/internal/rpc"
 	"hivemind/internal/stats"
 	"hivemind/internal/store"
 	"hivemind/internal/trace"
 )
 
-// GatewayMonitor is the metrics sink the gateway reports into —
-// controller.Monitor satisfies it, so the real runtime feeds the same
-// lightweight monitoring system the simulated controller uses (§4.7).
-type GatewayMonitor interface {
-	CountEvent(name string)
-	Observe(name string, v float64)
-}
+// GatewayMonitor is the old name of metrics.Sink, kept as an alias
+// only because the perfbench harness still names it.
+type GatewayMonitor = metrics.Sink
 
 // TaskTracker mirrors in-flight chains into an external table — the
 // controller replica's replicated task state (controller.Replica
@@ -107,7 +104,7 @@ type Gateway struct {
 	rt      *Runtime
 	srv     *rpc.Server
 	cfg     GatewayConfig
-	monitor GatewayMonitor
+	monitor metrics.Sink
 	adm     *admission // nil unless cfg.Overload is set
 
 	mu     sync.Mutex
@@ -142,7 +139,7 @@ func NewGatewayConfig(rt *Runtime, cfg GatewayConfig) *Gateway {
 
 // SetMonitor installs a metrics sink (nil disables reporting). Must be
 // called before the gateway starts serving traffic.
-func (g *Gateway) SetMonitor(m GatewayMonitor) { g.monitor = m }
+func (g *Gateway) SetMonitor(m metrics.Sink) { g.monitor = m }
 
 // Server returns the underlying RPC server (serve it on a listener or
 // an in-process pipe).
@@ -167,15 +164,10 @@ func (g *Gateway) observeValue(name string, v float64) {
 	}
 }
 
-// gauge reports a level (queue depth, active slots) when the monitor
-// supports gauges (metrics.Registry does; the interface stays narrow for
-// sinks that only count).
+// gauge reports a level (queue depth, active slots).
 func (g *Gateway) gauge(name string, v float64) {
-	if g.monitor == nil {
-		return
-	}
-	if sg, ok := g.monitor.(interface{ SetGauge(string, float64) }); ok {
-		sg.SetGauge(name, v)
+	if g.monitor != nil {
+		g.monitor.SetGauge(name, v)
 	}
 }
 

@@ -7,6 +7,8 @@ import (
 	"os"
 	"path/filepath"
 	"time"
+
+	"hivemind/internal/metrics"
 )
 
 // This file makes DB durable: mutations are written ahead to a WAL
@@ -23,13 +25,6 @@ import (
 // idempotent and a WAL suffix can safely be replayed over a snapshot
 // that already contains some of its effects (the crash window between
 // snapshot rename and log truncation).
-
-// Monitor is the metrics sink the store reports into. Both
-// controller.Monitor and metrics.Registry satisfy it.
-type Monitor interface {
-	CountEvent(name string)
-	Observe(name string, v float64)
-}
 
 // Store metric names.
 const (
@@ -82,7 +77,7 @@ type DurableOptions struct {
 	CompactEvery int
 	// Monitor, when non-nil, receives the store-* counters and
 	// latency observations from open onward.
-	Monitor Monitor
+	Monitor metrics.Sink
 }
 
 // NoAutoCompact disables record-count-triggered compaction; only

@@ -5,39 +5,11 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sync"
 	"testing"
 	"time"
+
+	"hivemind/internal/metrics"
 )
-
-// countingMonitor is a minimal Monitor for store tests.
-type countingMonitor struct {
-	mu       sync.Mutex
-	counters map[string]int
-	observed map[string][]float64
-}
-
-func newCountingMonitor() *countingMonitor {
-	return &countingMonitor{counters: map[string]int{}, observed: map[string][]float64{}}
-}
-
-func (m *countingMonitor) CountEvent(name string) {
-	m.mu.Lock()
-	m.counters[name]++
-	m.mu.Unlock()
-}
-
-func (m *countingMonitor) Observe(name string, v float64) {
-	m.mu.Lock()
-	m.observed[name] = append(m.observed[name], v)
-	m.mu.Unlock()
-}
-
-func (m *countingMonitor) count(name string) int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.counters[name]
-}
 
 // memOpts is the fast durable configuration for tests: no fsync, no
 // auto-compaction unless a test asks for it.
@@ -197,7 +169,7 @@ func TestDurableRecoveryFlatVsHistoryAt10x(t *testing.T) {
 }
 
 func TestDurableAutoCompactionTriggers(t *testing.T) {
-	mon := newCountingMonitor()
+	mon := metrics.NewRegistry()
 	dir := t.TempDir()
 	db, _, err := OpenDurable(dir, DurableOptions{Fsync: FsyncNever, CompactEvery: 16, Monitor: mon})
 	if err != nil {
@@ -209,7 +181,7 @@ func TestDurableAutoCompactionTriggers(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := mon.count(MetricSnapshot); got < 5 {
+	if got := mon.Count(MetricSnapshot); got < 5 {
 		t.Fatalf("snapshots after 100 writes at CompactEvery=16: %d, want >= 5", got)
 	}
 	if db.WALRecords() >= 16 {
@@ -234,7 +206,7 @@ func TestDurableRecoverTruncatesTornTail(t *testing.T) {
 	f.Write([]byte{0x00, 0x00, 0x01}) // torn frame header
 	f.Close()
 
-	mon := newCountingMonitor()
+	mon := metrics.NewRegistry()
 	db2, st, err := OpenDurable(dir, DurableOptions{Fsync: FsyncNever, CompactEvery: NoAutoCompact, Monitor: mon})
 	if err != nil {
 		t.Fatal(err)
@@ -243,8 +215,8 @@ func TestDurableRecoverTruncatesTornTail(t *testing.T) {
 	if !st.TruncatedTail {
 		t.Fatal("torn tail not reported in recover stats")
 	}
-	if mon.count(MetricWALTruncatedTail) != 1 {
-		t.Fatalf("truncated-tail counter = %d, want 1", mon.count(MetricWALTruncatedTail))
+	if mon.Count(MetricWALTruncatedTail) != 1 {
+		t.Fatalf("truncated-tail counter = %d, want 1", mon.Count(MetricWALTruncatedTail))
 	}
 	if doc, gerr := db2.Get("good"); gerr != nil || string(doc.Body) != "committed" {
 		t.Fatalf("valid prefix lost: %v %q", gerr, doc.Body)
@@ -252,7 +224,7 @@ func TestDurableRecoverTruncatesTornTail(t *testing.T) {
 }
 
 func TestFencedWritesRejectStaleTerms(t *testing.T) {
-	mon := newCountingMonitor()
+	mon := metrics.NewRegistry()
 	db := NewDB()
 	db.SetMonitor(mon)
 	if _, err := db.ForceFenced(3, "doc", []byte("term3")); err != nil {
@@ -273,8 +245,8 @@ func TestFencedWritesRejectStaleTerms(t *testing.T) {
 	if doc, _ := db.Get("doc"); string(doc.Body) != "term3" {
 		t.Fatalf("stale write landed: %q", doc.Body)
 	}
-	if mon.count(MetricFencedWrite) != 1 {
-		t.Fatalf("fenced-write counter = %d, want 1", mon.count(MetricFencedWrite))
+	if mon.Count(MetricFencedWrite) != 1 {
+		t.Fatalf("fenced-write counter = %d, want 1", mon.Count(MetricFencedWrite))
 	}
 	// Unfenced writers (token 0) bypass fencing entirely.
 	if _, err := db.Force("doc", []byte("unfenced")); err != nil {

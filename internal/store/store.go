@@ -20,6 +20,8 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+
+	"hivemind/internal/metrics"
 )
 
 // Common errors.
@@ -92,7 +94,7 @@ type DB struct {
 	// are consulted both under and outside the main mutex.
 	injMu sync.RWMutex
 	inj   Injector
-	mon   Monitor
+	mon   metrics.Sink
 }
 
 // NewDB returns an empty in-memory store.
@@ -102,14 +104,14 @@ func NewDB() *DB {
 
 // SetMonitor installs (or, with nil, removes) a metrics sink for the
 // store-* counters.
-func (db *DB) SetMonitor(m Monitor) {
+func (db *DB) SetMonitor(m metrics.Sink) {
 	db.injMu.Lock()
 	defer db.injMu.Unlock()
 	db.mon = m
 }
 
 // monitor returns the installed metrics sink (nil when unset).
-func (db *DB) monitor() Monitor {
+func (db *DB) monitor() metrics.Sink {
 	db.injMu.RLock()
 	defer db.injMu.RUnlock()
 	return db.mon

@@ -7,6 +7,8 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
+
+	"hivemind/internal/metrics"
 )
 
 // This file implements the append-only write-ahead log that makes the
@@ -64,7 +66,7 @@ type WALOptions struct {
 	SyncEvery int
 	// Monitor, when non-nil, receives wal-append/fsync/truncated-tail
 	// counters.
-	Monitor Monitor
+	Monitor metrics.Sink
 }
 
 // walHeaderSize is the per-record framing overhead.

@@ -6,6 +6,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"hivemind/internal/metrics"
 )
 
 // replayAll opens the WAL collecting every replayed record.
@@ -173,7 +175,7 @@ func TestWALResetEmptiesLog(t *testing.T) {
 // FsyncBatch syncs every SyncEvery appends; the fsync counter proves
 // the policy held.
 func TestWALFsyncBatchPolicy(t *testing.T) {
-	mon := newCountingMonitor()
+	mon := metrics.NewRegistry()
 	path := filepath.Join(t.TempDir(), "wal.log")
 	w, _, err := OpenWAL(path, WALOptions{Fsync: FsyncBatch, SyncEvery: 4, Monitor: mon}, nil)
 	if err != nil {
@@ -184,14 +186,14 @@ func TestWALFsyncBatchPolicy(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := mon.count(MetricWALFsync); got != 2 {
+	if got := mon.Count(MetricWALFsync); got != 2 {
 		t.Fatalf("fsyncs after 10 appends at batch 4 = %d, want 2", got)
 	}
 	w.Close() // flushes the remaining 2
-	if got := mon.count(MetricWALFsync); got != 3 {
+	if got := mon.Count(MetricWALFsync); got != 3 {
 		t.Fatalf("fsyncs after close = %d, want 3", got)
 	}
-	if got := mon.count(MetricWALAppend); got != 10 {
+	if got := mon.Count(MetricWALAppend); got != 10 {
 		t.Fatalf("appends = %d, want 10", got)
 	}
 }
